@@ -2,12 +2,13 @@
 models with jointly Gaussian noise."""
 
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError
-from .graph import Admg, Dag, d_separated, random_dag, shd, topological_order
+from .graph import Admg, Dag, random_dag, shd, topological_order
 from .graph import transitive_closure, transitive_reduction
 from .scm import (
     AceEstimate,
     ConfoundedAnm,
     InterventionalDataset,
+    LazyDataset,
     NoiseSpec,
     StructuralFunction,
     anm_sampler,

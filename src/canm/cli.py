@@ -46,14 +46,19 @@ EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
 
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    return cfg
+
+
 def _load_config_overrides(args: argparse.Namespace, parser_defaults: dict) -> None:
     """Fill unset flags from the JSON config file; explicit flags win."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
+    cfg = _read_config(args.config)
     unknown = set(cfg) - set(parser_defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -192,10 +197,7 @@ def _cmd_ace(args) -> int:
 
 def _cmd_experiment(args) -> int:
     seed = _require_seed(args)
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+    overrides = _read_config(args.config) if args.config else {}
     overrides.setdefault("kind", args.kind)
     overrides["seed"] = seed
     overrides["out_dir"] = args.out

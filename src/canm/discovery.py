@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .graph import Dag, transitive_reduction
-from .scm import load_dataset, save_dataset
+from .graph import Dag, bit_nodes, closure_bits, transitive_reduction
+from .scm import LazyDataset, load_dataset, save_dataset
 from .setsys import strongly_separating
 from .util import derive_seed
 
@@ -56,34 +56,30 @@ def _strict_order_edges(n: int, raw_edges) -> frozenset:
     keeping only the one-directional part of its closure is the minimal
     repair that preserves everything consistent.
     """
-    children = [set() for _ in range(n)]
-    for a, b in raw_edges:
-        children[a].add(b)
-    reach = [set() for _ in range(n)]
-    for src in range(n):
-        stack = list(children[src])
-        while stack:
-            v = stack.pop()
-            if v not in reach[src]:
-                reach[src].add(v)
-                stack.extend(children[v])
-    edges = set()
-    for a in range(n):
-        for b in reach[a]:
-            if a != b and a not in reach[b]:
-                edges.add((a, b))
-    return frozenset(edges)
+    reach = closure_bits(n, raw_edges)
+    return frozenset((a, b) for a in range(n) for b in bit_nodes(reach[a])
+                     if not reach[b] >> a & 1)
+
+
+def _regime(sampler, lazy, n, targets, m, seed, *key):
+    """The dataset of one regime, seeded by derive_seed(seed, *key): drawn
+    now, or, for a test that reads no data, a handle that draws it with the
+    same seed on first read."""
+    if lazy:
+        return LazyDataset(n, targets, m, lambda: sampler(targets, m, derive_seed(seed, *key)))
+    return sampler(targets, m, derive_seed(seed, *key))
 
 
 def _closure_with_data(sampler, test, n, m_per_int, seed, context=frozenset()):
     context = frozenset(context)
+    lazy = not getattr(test, "needs_data", True)
     system = strongly_separating(n) if n > 1 else ()
     raw = set()
     datasets = []
     free_all = set(range(n)) - context
     batch = getattr(test, "batch", None)
     for idx, s in enumerate(system):
-        ds = sampler(frozenset(s) | context, m_per_int, derive_seed(seed, "int", idx))
+        ds = _regime(sampler, lazy, n, frozenset(s) | context, m_per_int, seed, "int", idx)
         datasets.append(ds)
         free = sorted(free_all - s)
         pairs = [(a, b) for a in sorted(s) for b in free]
@@ -123,7 +119,9 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     learns the closure of the post-interventional graph, and unions the edges
     of its transitive reduction into the answer. Every dataset drawn along the
     way is kept, plus one do(S) dataset per iteration, the observational
-    dataset, and the joint intervention on all treatments.
+    dataset, and the joint intervention on all treatments. When the test
+    reads no data (``test.needs_data`` is false) every kept dataset is a
+    ``LazyDataset`` that draws its rows, with the same seed, on first read.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
@@ -131,15 +129,16 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
         raise UsageError("d_max must be >= 2")
     if alpha < 1:
         raise UsageError("alpha must be >= 1")
-    collected = [sampler(frozenset(), m_per_int, derive_seed(seed, "obs"))]
+    lazy = not getattr(test, "needs_data", True)
+    collected = [_regime(sampler, lazy, n, frozenset(), m_per_int, seed, "obs")]
     interventions = 0
     include_prob = 1.0 - 1.0 / d_max
     outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n))) if n > 1 else 0
     edges: set = set()
-    # reach[v] = nodes reachable from v under the union edge set, maintained
-    # incrementally; used to refuse edges a statistical test run would
-    # otherwise turn into a cycle (exact tests never trigger the guard)
-    reach = [set() for _ in range(n)]
+    # reachability of the union edge set; used to refuse edges a statistical
+    # test run would otherwise turn into a cycle (exact tests never trigger
+    # the guard)
+    reach = [0] * n
 
     for t in range(outer):
         rng = np.random.default_rng(derive_seed(seed, "subset", t))
@@ -151,17 +150,14 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
         interventions += len(inner)
         reduction = transitive_reduction(closure_t)
         for a, b in sorted(reduction.edges):
-            if (a, b) in edges or a in reach[b]:
+            if (a, b) in edges or reach[b] >> a & 1:
                 continue
             edges.add((a, b))
-            gained = {b} | reach[b]
-            for v in range(n):
-                if v == a or a in reach[v]:
-                    reach[v] |= gained
-        collected.append(sampler(s, m_per_int, derive_seed(seed, "context", t)))
+            reach = closure_bits(n, edges)
+        collected.append(_regime(sampler, lazy, n, s, m_per_int, seed, "context", t))
         interventions += 1
 
-    collected.append(sampler(frozenset(range(n)), m_per_int, derive_seed(seed, "joint")))
+    collected.append(_regime(sampler, lazy, n, frozenset(range(n)), m_per_int, seed, "joint"))
     interventions += 1
     return DiscoveryResult(Dag(n, frozenset(edges)), tuple(collected), interventions)
 
@@ -209,7 +205,7 @@ def check_sufficiency(g: Dag, targets_list, independent_flags=None) -> Sufficien
     flags = tuple(independent_flags) if independent_flags else (False,) * n
     if len(flags) != n:
         raise UsageError("independent_flags length must equal node count")
-    targets = [frozenset(int(v) for v in s) for s in targets_list]
+    targets = [frozenset(map(int, s)) for s in targets_list]
     full = frozenset(range(n))
     has_joint = full in targets
     has_obs = frozenset() in targets

@@ -209,6 +209,8 @@ class AceQuery:
             raise UsageError("duplicate intervened node")
         if any(k < 0 or k >= n for k in nodes):
             raise UsageError("intervened node out of range")
+        if not all(np.isfinite(v) for _, v in items):
+            raise UsageError("intervention values must be finite")
 
     @property
     def intervened_nodes(self) -> frozenset:

@@ -54,12 +54,6 @@ class Dag:
             deg[b] += 1
         return max(deg, default=0)
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for a, b in self.edges:
-            adj[a, b] = True
-        return adj
-
     def to_json(self) -> dict:
         return {"n": self.n, "edges": sorted([a, b] for a, b in self.edges)}
 
@@ -126,27 +120,39 @@ def topological_order(g: Dag) -> list:
     return order
 
 
-def _reach_from(children: list, src: int) -> set:
-    seen = set()
-    stack = list(children[src])
-    while stack:
-        v = stack.pop()
-        if v not in seen:
-            seen.add(v)
-            stack.extend(children[v])
-    return seen
+def closure_bits(n: int, edges, cut=()) -> list:
+    """Reachability of any edge set, as one integer bitset per node.
+
+    Bit j of ``reach[i]`` is set iff a directed path of length >= 1 leads
+    from i to j; the edges may form cycles (a node on a cycle reaches
+    itself). Edges into the nodes of ``cut`` are dropped first, which is the
+    graph surgery of an intervention on them. Warshall over Python ints.
+    """
+    blocked = 0
+    for v in cut:
+        blocked |= 1 << v
+    reach = [0] * n
+    for a, b in edges:
+        if not blocked >> b & 1:
+            reach[a] |= 1 << b
+    for k in range(n):
+        bit, row = 1 << k, reach[k]
+        if row:
+            for i in range(n):
+                if reach[i] & bit:
+                    reach[i] |= row
+    return reach
+
+
+def bit_nodes(mask: int) -> list:
+    """The set bits of mask as ascending node indices."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def transitive_closure(g: Dag) -> Dag:
     """Edge (i, j) in the result iff a directed path i ~> j exists in g."""
-    children = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        children[a].append(b)
-    edges = set()
-    for src in range(g.n):
-        for dst in _reach_from(children, src):
-            edges.add((src, dst))
-    return Dag(g.n, frozenset(edges))
+    reach = closure_bits(g.n, g.edges)
+    return Dag(g.n, frozenset((i, j) for i in range(g.n) for j in bit_nodes(reach[i])))
 
 
 def transitive_reduction(g: Dag) -> Dag:
@@ -156,11 +162,13 @@ def transitive_reduction(g: Dag) -> Dag:
     such edges are necessarily direct edges of g, so the result is a subset
     of g's edge set.
     """
-    clos = transitive_closure(g).edges
-    kept = set()
-    for u, v in clos:
-        if not any((u, w) in clos and (w, v) in clos for w in range(g.n)):
-            kept.add((u, v))
+    reach = closure_bits(g.n, g.edges)
+    kept = []
+    for u in range(g.n):
+        via = 0
+        for w in bit_nodes(reach[u]):
+            via |= reach[w]
+        kept.extend((u, v) for v in bit_nodes(reach[u] & ~via))
     return Dag(g.n, frozenset(kept))
 
 
@@ -202,66 +210,3 @@ def random_dag(n: int, d_max: int, edge_prob: float | None = None, seed: int = 0
             deg[u] += 1
             deg[v] += 1
     return Dag(n, frozenset(edges))
-
-
-def _latent_expansion(g: Admg):
-    """Children/parents maps of the DAG with one fork node per bidirected pair."""
-    n = g.dag.n
-    total = n + len(g.bidirected)
-    children = [[] for _ in range(total)]
-    parents = [[] for _ in range(total)]
-    for a, b in g.dag.edges:
-        children[a].append(b)
-        parents[b].append(a)
-    for k, (i, j) in enumerate(sorted(g.bidirected)):
-        lat = n + k
-        for dst in (i, j):
-            children[lat].append(dst)
-            parents[dst].append(lat)
-    return children, parents
-
-
-def d_separated(g: Admg, a: int, b: int, cond) -> bool:
-    """m-separation of a and b given cond, with bidirected edges read as
-    latent common-cause forks. Standard active-trail reachability."""
-    cond = frozenset(int(v) for v in cond)
-    if a == b:
-        raise UsageError("a and b must differ")
-    if a in cond or b in cond:
-        raise UsageError("a and b must not be conditioned on")
-    children, parents = _latent_expansion(g)
-    total = len(children)
-
-    anc = set(cond)
-    stack = list(cond)
-    while stack:
-        v = stack.pop()
-        for p in parents[v]:
-            if p not in anc:
-                anc.add(p)
-                stack.append(p)
-
-    # states: (node, direction); direction True = arrived via an edge out of
-    # the node (moving up), False = arrived via an edge into it (moving down)
-    visited = set()
-    stack = [(a, True)]
-    while stack:
-        v, up = stack.pop()
-        if (v, up) in visited:
-            continue
-        visited.add((v, up))
-        if v == b:
-            return False
-        if up and v not in cond:
-            for p in parents[v]:
-                stack.append((p, True))
-            for c in children[v]:
-                stack.append((c, False))
-        elif not up:
-            if v not in cond:
-                for c in children[v]:
-                    stack.append((c, False))
-            if v in anc:
-                for p in parents[v]:
-                    stack.append((p, True))
-    return True

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special, stats
 
 from .errors import UsageError
-from .graph import Admg
+from .graph import Admg, closure_bits
 from .util import derive_seed
 
 DEFAULT_LEVEL = 0.01
@@ -49,7 +49,7 @@ def _validate_pair(xs: np.ndarray, ys: np.ndarray) -> None:
         raise UsageError("xs and ys must be 1-d vectors of equal length")
     if len(xs) < MIN_SAMPLES:
         raise UsageError(f"statistical backends need at least {MIN_SAMPLES} samples")
-    if xs.std() == 0.0 or ys.std() == 0.0:
+    if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
         raise UsageError("constant input vector")
 
 
@@ -86,20 +86,6 @@ def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVE
     raise UsageError(f"unknown independence test {method!r}")
 
 
-def _masked_reachability(adj: np.ndarray, intervened) -> np.ndarray:
-    """reach[a, b] = directed path a ~> b after cutting edges into intervened."""
-    cut = adj.copy()
-    idx = sorted(intervened)
-    if idx:
-        cut[:, idx] = False
-    reach = cut.copy()
-    n = reach.shape[0]
-    steps = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    for _ in range(steps):
-        reach = reach | (reach @ reach)
-    return reach
-
-
 def oracle_dependent(g: Admg, intervened, a: int, b: int) -> bool:
     """Exact verdict for the query shape used during discovery: is the
     non-intervened b dependent on the randomized a under do(intervened)?"""
@@ -110,32 +96,31 @@ def oracle_dependent(g: Admg, intervened, a: int, b: int) -> bool:
         raise UsageError("b must not be intervened")
     if not (0 <= b < g.dag.n):
         raise UsageError("b out of range")
-    reach = _masked_reachability(g.dag.adjacency(), intervened)
-    return bool(reach[a, b])
+    return bool(closure_bits(g.dag.n, g.dag.edges, intervened)[a] >> b & 1)
 
 
 def oracle_ci_test(g: Admg):
     """Dependence test backed by the true graph; caches reachability per
-    intervention set so repeated discovery queries stay cheap."""
-    adj = g.dag.adjacency()
+    intervention set so repeated discovery queries stay cheap. It reads only
+    a dataset's targets, so discovery never has to draw the rows."""
+    n, edges = g.dag.n, g.dag.edges
     cache: dict = {}
 
     def _reach(targets):
         reach = cache.get(targets)
         if reach is None:
-            reach = _masked_reachability(adj, targets)
-            cache[targets] = reach
+            reach = cache[targets] = closure_bits(n, edges, targets)
         return reach
 
     def test(ds, a: int, b: int) -> bool:
         key = ds.targets
         if a not in key or b in key:
             raise UsageError("oracle query must intervene on a and not on b")
-        return bool(_reach(key)[a, b])
+        return bool(_reach(key)[a] >> b & 1)
 
     def batch(ds, pairs):
         reach = _reach(ds.targets)
-        return [bool(reach[a, b]) for a, b in pairs]
+        return [bool(reach[a] >> b & 1) for a, b in pairs]
 
     test.needs_data = False
     test.batch = batch
@@ -161,9 +146,11 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
         if m < MIN_SAMPLES:
             raise UsageError(f"statistical backends need at least {MIN_SAMPLES} samples")
         cols = sorted({c for pair in pairs for c in pair})
-        sub = ds.data[:, cols] - ds.data[:, cols].mean(axis=0)
+        block = ds.data[:, cols]
+        if np.any(np.ptp(block, axis=0) == 0.0):
+            raise UsageError("constant input vector")
+        sub = block - block.mean(axis=0)
         norms = np.sqrt((sub * sub).sum(axis=0))
-        norms[norms == 0.0] = np.inf
         gram = sub.T @ sub
         idx = {c: k for k, c in enumerate(cols)}
         r = np.array([gram[idx[a], idx[b]] / (norms[idx[a]] * norms[idx[b]])

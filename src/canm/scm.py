@@ -199,12 +199,12 @@ class InterventionalDataset:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", frozenset(int(t) for t in self.targets))
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[1] < 2:
             raise UsageError("dataset must be a 2-d matrix with at least X1 and Y columns")
         if data.size and not np.all(np.isfinite(data)):
             raise UsageError("dataset contains non-finite values")
+        object.__setattr__(self, "targets", parse_targets(self.targets, data.shape[1] - 1))
         object.__setattr__(self, "data", data)
 
     @property
@@ -223,6 +223,26 @@ class InterventionalDataset:
 
     def y(self) -> np.ndarray:
         return self.data[:, self.n]
+
+
+class LazyDataset:
+    """An InterventionalDataset drawn on first read: ``targets`` (checked
+    against n here, as an eager draw would) and ``m`` are known at once; any
+    other attribute calls ``draw()`` a single time and reads its result."""
+
+    __slots__ = ("targets", "m", "_draw", "_ds")
+
+    def __init__(self, n: int, targets, m: int, draw):
+        self.targets = parse_targets(targets, n)
+        self.m = int(m)
+        self._draw, self._ds = draw, None
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if self._ds is None:
+            self._ds, self._draw = self._draw(), None
+        return getattr(self._ds, name)
 
 
 @dataclass(frozen=True)
@@ -244,8 +264,8 @@ def parse_targets(spec, n: int) -> frozenset:
         if text == "all":
             return frozenset(range(n))
         spec = [int(tok) for tok in text.split(",")]
-    targets = frozenset(int(t) for t in spec)
-    if any(t < 0 or t >= n for t in targets):
+    targets = frozenset(map(int, spec))
+    if targets and (min(targets) < 0 or max(targets) >= n):
         raise UsageError(f"target out of range for n={n}")
     return targets
 

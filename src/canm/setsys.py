@@ -7,6 +7,7 @@ then needs at most 2*ceil(log2 n) sets.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,9 +53,11 @@ class SeparatingSetSystem:
         return bool(np.all(split[off]))
 
 
+@functools.lru_cache(maxsize=32)
 def strongly_separating(n: int) -> SeparatingSetSystem:
     """Two sets per bit position: the nodes with the bit set and the nodes
-    without it. Empty and full sets contribute nothing and are dropped."""
+    without it. Empty and full sets contribute nothing and are dropped.
+    Cached: the value is immutable and discovery asks for it per closure."""
     if n < 1:
         raise UsageError("n must be >= 1")
     bits = max(1, math.ceil(math.log2(n))) if n > 1 else 1

@@ -117,6 +117,32 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+def test_experiment_config_must_be_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, _, err = run(["experiment", "--kind", "sufficiency", "--seed", "2",
+                        "--config", str(cfg), "--out", str(tmp_path / "exp")], capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "JSON object" in err
+
+
+def test_ace_rejects_non_finite_value(tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    run(["gen-scm", "--n", "2", "--dmax", "2", "--seed", "6", "--out", str(anm)], capsys)
+    run(["discover", "--anm", str(anm), "--dmax", "2", "--alpha", "1", "--samples", "100",
+         "--test", "oracle", "--seed", "7", "--out", str(tmp_path / "disc")], capsys)
+    code, _, _ = run(["fit", "--from-dir", str(tmp_path / "disc"),
+                      "--out", str(tmp_path / "model.json")], capsys)
+    assert code == 0
+    for value in ("nan", "inf"):
+        code, out, err = run(["ace", "--model", str(tmp_path / "model.json"),
+                              "--targets", "0", "--values", value, "--seed", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+
 def test_io_error_exit_code(capsys):
     code, _, err = run(["sample", "--anm", "/nonexistent/x.json", "--seed", "1",
                         "--out", "/tmp/x.csv"], capsys)

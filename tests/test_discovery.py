@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canm.discovery import (
+    _strict_order_edges,
     check_sufficiency,
     core_intervention_plan,
     intervention_budget,
@@ -17,13 +20,131 @@ from canm.errors import UsageError
 from canm.fixtures import fig_g1, fig_g2, fig_g3
 from canm.graph import Dag, random_dag, shd, transitive_closure
 from canm.independence import data_ci_test, oracle_ci_test
-from canm.scm import anm_sampler, observable_admg, random_anm
+from canm.scm import LazyDataset, anm_sampler, observable_admg, random_anm
+from canm.setsys import strongly_separating
 from canm.util import derive_seed
 
 
 def oracle_setup(g, seed):
     anm = random_anm(g, seed=seed)
     return anm_sampler(anm), oracle_ci_test(observable_admg(anm))
+
+
+def dfs_reach(n, edges):
+    children = [[] for _ in range(n)]
+    for a, b in edges:
+        children[a].append(b)
+    reach = [set() for _ in range(n)]
+    for src in range(n):
+        stack = list(children[src])
+        while stack:
+            v = stack.pop()
+            if v not in reach[src]:
+                reach[src].add(v)
+                stack.extend(children[v])
+    return reach
+
+
+def reference_strict_order(n, raw_edges):
+    """Per-source DFS closure minus every mutually reachable pair."""
+    reach = dfs_reach(n, raw_edges)
+    return {(a, b) for a in range(n) for b in reach[a] if a != b and a not in reach[b]}
+
+
+def reference_observable_graph(sampler, test, n, d_max, alpha, m_per_int, seed):
+    """The discovery loop with eager draws and set-based reachability,
+    written independently of the library, as the reference for its output."""
+    def closure(context, cseed):
+        raw, datasets = set(), []
+        for idx, s in enumerate(strongly_separating(n) if n > 1 else ()):
+            ds = sampler(frozenset(s) | context, m_per_int, derive_seed(cseed, "int", idx))
+            datasets.append(ds)
+            pairs = [(a, b) for a in sorted(s) for b in sorted(set(range(n)) - context - s)]
+            if pairs:
+                raw.update(p for p, dep in zip(pairs, test.batch(ds, pairs)) if dep)
+        clos = reference_strict_order(n, raw)
+        red = {(u, v) for u, v in clos
+               if not any((u, w) in clos and (w, v) in clos for w in range(n))}
+        return red, datasets
+
+    collected = [sampler(frozenset(), m_per_int, derive_seed(seed, "obs"))]
+    edges = set()
+    outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n))) if n > 1 else 0
+    for t in range(outer):
+        rng = np.random.default_rng(derive_seed(seed, "subset", t))
+        s = frozenset(i for i in range(n) if rng.random() < 1.0 - 1.0 / d_max)
+        red, inner = closure(s, derive_seed(seed, "closure", t))
+        collected.extend(inner)
+        for a, b in sorted(red):
+            if (a, b) not in edges and a not in dfs_reach(n, edges)[b]:
+                edges.add((a, b))
+        collected.append(sampler(s, m_per_int, derive_seed(seed, "context", t)))
+    collected.append(sampler(frozenset(range(n)), m_per_int, derive_seed(seed, "joint")))
+    return Dag(n, frozenset(edges)), collected
+
+
+def counting(sampler):
+    calls = []
+
+    def draw(targets, m, seed):
+        calls.append(seed)
+        return sampler(targets, m, seed)
+
+    return draw, calls
+
+
+def assert_same_datasets(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.targets == b.targets
+        assert a.value_policy == b.value_policy
+        assert a.seed == b.seed
+        assert np.array_equal(a.data, b.data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                        max_size=3 * n))))
+def test_strict_order_edges_matches_reference(case):
+    n, raw = case
+    assert _strict_order_edges(n, raw) == frozenset(reference_strict_order(n, raw))
+
+
+class TestLazyRegimes:
+    def test_oracle_discovery_draws_only_when_read(self):
+        g = random_dag(8, 3, seed=30)
+        anm = random_anm(g, seed=31)
+        oracle = oracle_ci_test(observable_admg(anm))
+        draw, calls = counting(anm_sampler(anm))
+        res = learn_observable_graph(draw, oracle, 8, 3, 2.0, 25, seed=32)
+        assert calls == []
+        assert all(isinstance(ds, LazyDataset) and ds.m == 25 for ds in res.collected)
+        # a test without needs_data is assumed to read data: eager draws
+        eager_draw, eager_calls = counting(anm_sampler(anm))
+        eager = learn_observable_graph(eager_draw, lambda ds, a, b: oracle(ds, a, b),
+                                       8, 3, 2.0, 25, seed=32)
+        assert len(eager_calls) == len(eager.collected)
+        assert res.learned_graph == eager.learned_graph
+        assert res.interventions_used == eager.interventions_used
+        assert [ds.targets for ds in res.collected] == [ds.targets for ds in eager.collected]
+        assert calls == []
+        assert_same_datasets(res.collected, eager.collected)
+        assert sorted(calls) == sorted(eager_calls)
+        res.collected[0].x(0)
+        assert len(calls) == len(res.collected)
+
+    @pytest.mark.parametrize("level", [1e-3, 0.3])
+    def test_pearson_discovery_matches_reference(self, level):
+        g = random_dag(6, 3, seed=33)
+        anm = random_anm(g, seed=34)
+        test = data_ci_test("pearson", level=level, seed=35)
+        res = learn_observable_graph(anm_sampler(anm), test, 6, 3, 1.0, 200, seed=36)
+        graph, collected = reference_observable_graph(anm_sampler(anm), test, 6, 3, 1.0,
+                                                      200, seed=36)
+        assert res.learned_graph == graph
+        assert not any(isinstance(ds, LazyDataset) for ds in res.collected)
+        assert_same_datasets(res.collected, collected)
 
 
 class TestClosureLearning:

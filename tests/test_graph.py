@@ -3,18 +3,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canm.errors import UsageError
 from canm.graph import (
     Admg,
     Dag,
-    d_separated,
+    closure_bits,
     random_dag,
     shd,
     topological_order,
     transitive_closure,
     transitive_reduction,
 )
+from reference import d_separated
 
 
 def closure_by_dfs(g):
@@ -126,6 +129,55 @@ class TestClosureReduction:
             red = transitive_reduction(g)
             assert red.edges <= g.edges
             assert transitive_closure(red).edges == clos.edges
+
+
+def closure_by_matrix(n, edges, cut=()):
+    """Boolean-matrix closure by repeated squaring, edges into cut removed."""
+    adj = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        if b not in cut:
+            adj[a, b] = True
+    reach = adj.copy()
+    for _ in range(n):
+        reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    return reach
+
+
+@st.composite
+def edge_sets(draw, max_n=9):
+    """Any edge set on n nodes (cycles and self-loops allowed) plus a cut set."""
+    n = draw(st.integers(1, max_n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(node, node), max_size=3 * n))
+    cut = draw(st.sets(node))
+    return n, edges, cut
+
+
+@st.composite
+def dags(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    return random_dag(n, draw(st.integers(1, 5)), seed=draw(st.integers(0, 1 << 30)))
+
+
+class TestClosureBits:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(edge_sets())
+    def test_matches_matrix_closure(self, case):
+        n, edges, cut = case
+        reach = closure_bits(n, edges, cut)
+        want = closure_by_matrix(n, edges, cut)
+        got = np.array([[bool(reach[i] >> j & 1) for j in range(n)] for i in range(n)])
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dags())
+    def test_closure_and_reduction_match_reference(self, g):
+        clos = closure_by_dfs(g)
+        assert transitive_closure(g).edges == frozenset(clos)
+        # a closure edge survives iff no intermediate node splits it
+        red = {(u, v) for u, v in clos
+               if not any((u, w) in clos and (w, v) in clos for w in range(g.n))}
+        assert transitive_reduction(g).edges == frozenset(red)
 
 
 class TestShd:

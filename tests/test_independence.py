@@ -1,13 +1,16 @@
 """Statistical test calibration and the graphical oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from canm.errors import UsageError
 from canm.graph import Admg, Dag, random_dag
 from canm.independence import data_ci_test, oracle_ci_test, oracle_dependent
 from canm.independence import test_independence as run_test
-from canm.scm import random_anm, sample
+from canm.scm import InterventionalDataset, random_anm, sample
+from reference import d_separated
 
 
 class TestStatisticalBackends:
@@ -128,6 +131,64 @@ class TestOracle:
                     got = oracle_dependent(admg, targets, a, b)
                     want = bfs_reachable(g.edges, 6, targets, a, b)
                     assert got == want
+
+
+@st.composite
+def oracle_queries(draw):
+    """A random ADMG and an intervention set of at least one node."""
+    n = draw(st.integers(2, 8))
+    g = random_dag(n, draw(st.integers(1, 4)), seed=draw(st.integers(0, 1 << 30)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    bidirected = draw(st.sets(pair, max_size=n))
+    targets = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return Admg(g, frozenset(bidirected)), frozenset(targets)
+
+
+class TestOracleAgainstDSeparation:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(oracle_queries())
+    def test_verdict_is_marginal_m_connection_after_surgery(self, case):
+        admg, targets = case
+        n = admg.dag.n
+        # do(targets) removes every edge and latent link into a target
+        cut = Admg(Dag(n, frozenset((a, b) for a, b in admg.dag.edges if b not in targets)),
+                   frozenset(p for p in admg.bidirected if not set(p) & targets))
+        test = oracle_ci_test(admg)
+        ds = InterventionalDataset(targets, "std_normal", np.zeros((1, n + 1)), 0)
+        pairs = [(a, b) for a in sorted(targets) for b in range(n) if b not in targets]
+        want = [not d_separated(cut, a, b, ()) for a, b in pairs]
+        assert [oracle_dependent(admg, targets, a, b) for a, b in pairs] == want
+        assert [test(ds, a, b) for a, b in pairs] == want
+        assert test.batch(ds, pairs) == want
+
+
+class TestPearsonBatch:
+    def test_batch_agrees_with_scalar_on_random_datasets(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for trial in range(40):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(20, 400))
+            mix = rng.standard_normal((n + 1, n + 1)) * (rng.random((n + 1, n + 1)) < 0.3)
+            data = rng.standard_normal((m, n + 1)) @ (np.eye(n + 1) + mix)
+            ds = InterventionalDataset(frozenset({0}), "std_normal", data, trial)
+            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+            test = data_ci_test("pearson", level=0.05)
+            assert test.batch(ds, pairs) == [test(ds, a, b) for a, b in pairs]
+            checked += len(pairs)
+        assert checked > 200
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 1 / 3, 123.456])
+    def test_constant_column_raises_on_both_paths(self, value):
+        rng = np.random.default_rng(22)
+        data = rng.standard_normal((100, 4))
+        data[:, 1] = value
+        ds = InterventionalDataset(frozenset({0}), "std_normal", data, 0)
+        test = data_ci_test("pearson")
+        with pytest.raises(UsageError, match="constant"):
+            test(ds, 0, 1)
+        with pytest.raises(UsageError, match="constant"):
+            test.batch(ds, [(0, 2), (0, 1)])
 
 
 class TestBackendAgreement:

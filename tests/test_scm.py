@@ -7,6 +7,8 @@ from canm.fixtures import linear_pair_a, linear_pair_b, product_outcome_pair
 from canm.graph import Dag, random_dag
 from canm.scm import (
     ConfoundedAnm,
+    InterventionalDataset,
+    LazyDataset,
     NoiseSpec,
     StructuralFunction,
     anm_from_json,
@@ -148,3 +150,38 @@ def test_dataset_round_trip(tmp_path):
     assert back.targets == ds.targets
     assert back.value_policy == ds.value_policy
     np.testing.assert_allclose(back.data, ds.data)
+
+
+def test_dataset_targets_must_be_treatments():
+    data = np.zeros((3, 3))  # X1, X2, Y
+    with pytest.raises(UsageError, match="out of range"):
+        InterventionalDataset({7}, "std_normal", data, 0)
+    with pytest.raises(UsageError, match="out of range"):
+        InterventionalDataset({2}, "std_normal", data, 0)
+    assert InterventionalDataset({1}, "std_normal", data, 0).targets == frozenset({1})
+
+
+def test_lazy_dataset_checks_targets_before_drawing():
+    def draw():
+        raise AssertionError("drawn")
+
+    with pytest.raises(UsageError, match="out of range"):
+        LazyDataset(2, {7}, 3, draw)
+    lazy = LazyDataset(2, {1}, 3, draw)
+    assert (lazy.targets, lazy.m) == (frozenset({1}), 3)
+
+
+def test_lazy_dataset_draws_once():
+    anm = random_anm(random_dag(3, 2, seed=28), seed=29)
+    calls = []
+
+    def draw():
+        calls.append(1)
+        return sample(anm, {0}, "std_normal", 40, seed=30)
+
+    lazy = LazyDataset(3, {0}, 40, draw)
+    want = sample(anm, {0}, "std_normal", 40, seed=30)
+    assert np.array_equal(lazy.x(1), want.x(1))
+    assert (lazy.seed, lazy.n, lazy.value_policy) == (30, 3, "std_normal")
+    assert np.array_equal(lazy.data, want.data)
+    assert calls == [1]
