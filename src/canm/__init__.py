@@ -2,7 +2,7 @@
 models with jointly Gaussian noise."""
 
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError
-from .graph import Admg, Dag, random_dag, shd, topological_order
+from .graph import Dag, random_dag, shd, topological_order
 from .graph import transitive_closure, transitive_reduction
 from .scm import (
     AceEstimate,
@@ -12,7 +12,6 @@ from .scm import (
     NoiseSpec,
     StructuralFunction,
     anm_sampler,
-    observable_admg,
     random_anm,
     sample,
     true_ace_oracle,
@@ -22,7 +21,6 @@ from .independence import (
     IndependenceVerdict,
     data_ci_test,
     oracle_ci_test,
-    oracle_dependent,
     test_independence,
 )
 from .discovery import (

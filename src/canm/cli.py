@@ -30,7 +30,6 @@ from .scm import (
     anm_sampler,
     load_anm,
     load_dataset,
-    observable_admg,
     parse_targets,
     random_anm,
     sample,
@@ -52,19 +51,6 @@ def _read_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
-
-
-def _load_config_overrides(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill unset flags from the JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _read_config(args.config)
-    unknown = set(cfg) - set(parser_defaults)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        if getattr(args, key) == parser_defaults[key]:
-            setattr(args, key, value)
 
 
 def _echo_config(args: argparse.Namespace, out_dir: str) -> None:
@@ -123,7 +109,7 @@ def _parse_flags(text, n):
 def _cmd_check(args) -> int:
     g = Dag.load(args.graph)
     with open(args.targets_file) as fh:
-        targets = [frozenset(s) for s in json.load(fh)]
+        targets = [parse_targets(s, g.n) for s in json.load(fh)]
     report = check_sufficiency(g, targets, _parse_flags(args.flags, g.n))
     print(json.dumps({
         "sufficient": report.sufficient,
@@ -140,16 +126,11 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _build_test(kind: str, anm, level: float, seed: int):
-    if kind == "oracle":
-        return oracle_ci_test(observable_admg(anm))
-    return data_ci_test(kind, level=level, seed=seed)
-
-
 def _cmd_discover(args) -> int:
     seed = _require_seed(args)
     anm = load_anm(args.anm)
-    test = _build_test(args.test, anm, args.level, seed)
+    test = (oracle_ci_test(anm.graph) if args.test == "oracle"
+            else data_ci_test(args.test, level=args.level, seed=seed))
     res = learn_observable_graph(
         anm_sampler(anm), test, anm.n, args.dmax, args.alpha, args.samples, seed
     )
@@ -180,11 +161,22 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _parse_values(text) -> list:
+    """Comma-separated intervention values; each must be a finite number."""
+    try:
+        values = [float(tok) for tok in text.split(",")] if text else []
+        if np.all(np.isfinite(values)):
+            return values
+    except ValueError:
+        pass
+    raise UsageError(f"--values must be comma-separated finite numbers, got {text!r}")
+
+
 def _cmd_ace(args) -> int:
     seed = _require_seed(args)
     model = estimation.load_model(args.model)
     targets = sorted(parse_targets(args.targets, model.n))
-    values = [float(tok) for tok in args.values.split(",")] if args.values else []
+    values = _parse_values(args.values)
     if len(values) != len(targets):
         raise UsageError(f"{len(targets)} targets but {len(values)} values")
     q = estimation.AceQuery(model.n, dict(zip(targets, values)))
@@ -222,22 +214,22 @@ def _cmd_healthcare(args) -> int:
     seed = _require_seed(args)
     n = roles["graph"].n
     targets = sorted(parse_targets(args.targets, n))
-    values = [float(tok) for tok in args.values.split(",")] if args.values else []
+    values = _parse_values(args.values)
     if args.op == "sample":
         ds = healthcare.healthcare_dataset(net, roles, targets, args.samples, seed)
         save_dataset(ds, args.out)
         print(args.out)
         return EXIT_OK
     if args.op == "oracle":
-        if len(values) != len(targets):
-            raise UsageError(f"{len(targets)} targets but {len(values)} values")
         est = healthcare.healthcare_oracle(net, roles, targets, values, args.mc, seed)
         print(f"{est.value:.17g},{est.stderr:.17g}")
         return EXIT_OK
     raise UsageError(f"unknown healthcare op {args.op!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config_defaults=None) -> argparse.ArgumentParser:
+    """The canm parser. ``config_defaults`` maps a subcommand to flag
+    defaults read from its --config file."""
     parser = argparse.ArgumentParser(
         prog="canm",
         description="confounded additive-noise models: simulate, discover, estimate",
@@ -328,27 +320,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="healthcare.csv")
     p.set_defaults(func=_cmd_healthcare)
 
+    for command, defaults in (config_defaults or {}).items():
+        sub.choices[command].set_defaults(**defaults)
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv. A --config object becomes the subcommand's flag defaults
+    for a second parse, so a flag given on the command line wins."""
+    args = build_parser().parse_args(argv)
+    # the experiment handler reads --config itself (the ExperimentConfig schema)
+    if args.command == "experiment" or not getattr(args, "config", None):
+        return args
+    cfg = _read_config(args.config)
+    unknown = set(cfg) - (set(vars(args)) - {"func", "command"})
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    # argparse applies a flag's type to a default only when it is a string
+    defaults = {key: value if value is None or isinstance(value, (str, list)) else str(value)
+                for key, value in cfg.items()}
+    return build_parser({args.command: defaults}).parse_args(argv)
+
+
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems
         return int(exc.code or 0)
-    try:
-        if args.command != "experiment":
-            # the experiment handler consumes --config itself (full
-            # ExperimentConfig schema, not flag overrides)
-            defaults = {
-                key: parser._subparsers._group_actions[0].choices[args.command].get_default(key)
-                for key in vars(args)
-                if key != "func"
-            }
-            _load_config_overrides(args, defaults)
-        return args.func(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

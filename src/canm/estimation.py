@@ -295,6 +295,9 @@ def fit_model(graph: Dag, datasets, independent_flags=None, regressor: str = "ba
     """
     datasets = tuple(datasets)
     n = graph.n
+    sizes = sorted({ds.n for ds in datasets} - {n})
+    if sizes:
+        raise UsageError(f"graph has {n} treatments but datasets have {sizes}")
     flags = tuple(independent_flags) if independent_flags else (False,) * n
     targets_list = [ds.targets for ds in datasets]
     report = identifiable(graph, targets_list, flags)

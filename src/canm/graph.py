@@ -75,25 +75,6 @@ class Dag:
             return cls.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class Admg:
-    """A DAG plus bidirected edges marking latent confounding between pairs."""
-
-    dag: Dag
-    bidirected: frozenset = frozenset()
-
-    def __post_init__(self):
-        pairs = set()
-        for pair in self.bidirected:
-            i, j = sorted(int(v) for v in pair)
-            if i == j:
-                raise UsageError(f"bidirected self-pair at node {i}")
-            if not (0 <= i < self.dag.n and 0 <= j < self.dag.n):
-                raise UsageError(f"bidirected pair ({i}, {j}) out of range")
-            pairs.add((i, j))
-        object.__setattr__(self, "bidirected", frozenset(pairs))
-
-
 def topological_order(g: Dag) -> list:
     """Topological order with ties broken by ascending node index.
 

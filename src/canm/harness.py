@@ -22,7 +22,7 @@ from .discovery import check_sufficiency, core_intervention_plan, learn_observab
 from .errors import IdentifiabilityError, UsageError
 from .graph import Dag, random_dag, shd
 from .independence import data_ci_test, oracle_ci_test
-from .scm import anm_sampler, observable_admg, random_anm, sample, true_ace_oracle
+from .scm import anm_sampler, random_anm, sample, true_ace_oracle
 from .svg import svg_line_chart
 from .util import derive_seed
 
@@ -101,7 +101,7 @@ def _write(cfg: ExperimentConfig, name: str, text: str) -> str:
 
 def _make_test(cfg: ExperimentConfig, anm, rep_seed: int):
     if cfg.test == "oracle":
-        return oracle_ci_test(observable_admg(anm))
+        return oracle_ci_test(anm.graph)
     return data_ci_test(cfg.test, cfg.level, cfg.permutations, rep_seed)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special, stats
 
 from .errors import UsageError
-from .graph import Admg, closure_bits
+from .graph import Dag, closure_bits
 from .util import derive_seed
 
 DEFAULT_LEVEL = 0.01
@@ -86,41 +86,27 @@ def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVE
     raise UsageError(f"unknown independence test {method!r}")
 
 
-def oracle_dependent(g: Admg, intervened, a: int, b: int) -> bool:
-    """Exact verdict for the query shape used during discovery: is the
-    non-intervened b dependent on the randomized a under do(intervened)?"""
-    intervened = frozenset(int(v) for v in intervened)
-    if a not in intervened:
-        raise UsageError("a must be an intervened node")
-    if b in intervened:
-        raise UsageError("b must not be intervened")
-    if not (0 <= b < g.dag.n):
-        raise UsageError("b out of range")
-    return bool(closure_bits(g.dag.n, g.dag.edges, intervened)[a] >> b & 1)
-
-
-def oracle_ci_test(g: Admg):
-    """Dependence test backed by the true graph; caches reachability per
-    intervention set so repeated discovery queries stay cheap. It reads only
-    a dataset's targets, so discovery never has to draw the rows."""
-    n, edges = g.dag.n, g.dag.edges
+def oracle_ci_test(g: Dag):
+    """Dependence test backed by the true treatment DAG; caches reachability
+    per intervention set so repeated discovery queries stay cheap. Latent
+    confounding never changes a verdict, since randomizing a node cuts every
+    path into it. It reads only a dataset's targets, so discovery never has
+    to draw the rows."""
+    n, edges = g.n, g.edges
     cache: dict = {}
 
-    def _reach(targets):
-        reach = cache.get(targets)
+    def batch(ds, pairs):
+        key = ds.targets
+        for a, b in pairs:
+            if a not in key or b in key or not (0 <= a < n and 0 <= b < n):
+                raise UsageError("oracle query must intervene on a, not on b, both graph nodes")
+        reach = cache.get(key)
         if reach is None:
-            reach = cache[targets] = closure_bits(n, edges, targets)
-        return reach
+            reach = cache[key] = closure_bits(n, edges, key)
+        return [bool(reach[a] >> b & 1) for a, b in pairs]
 
     def test(ds, a: int, b: int) -> bool:
-        key = ds.targets
-        if a not in key or b in key:
-            raise UsageError("oracle query must intervene on a and not on b")
-        return bool(_reach(key)[a] >> b & 1)
-
-    def batch(ds, pairs):
-        reach = _reach(ds.targets)
-        return [bool(reach[a] >> b & 1) for a, b in pairs]
+        return batch(ds, [(a, b)])[0]
 
     test.needs_data = False
     test.batch = batch

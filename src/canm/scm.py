@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .graph import Admg, Dag, topological_order
+from .graph import Dag, topological_order
 from .util import chol_factor, sample_mvn
 
 PSD_EIG_FLOOR = -1e-9
@@ -227,14 +227,14 @@ class InterventionalDataset:
 
 class LazyDataset:
     """An InterventionalDataset drawn on first read: ``targets`` (checked
-    against n here, as an eager draw would) and ``m`` are known at once; any
-    other attribute calls ``draw()`` a single time and reads its result."""
+    against n here, as an eager draw would), ``n`` and ``m`` are known at
+    once; any other attribute calls ``draw()`` once and reads its result."""
 
-    __slots__ = ("targets", "m", "_draw", "_ds")
+    __slots__ = ("targets", "n", "m", "_draw", "_ds")
 
     def __init__(self, n: int, targets, m: int, draw):
         self.targets = parse_targets(targets, n)
-        self.m = int(m)
+        self.n, self.m = int(n), int(m)
         self._draw, self._ds = draw, None
 
     def __getattr__(self, name):
@@ -263,8 +263,11 @@ def parse_targets(spec, n: int) -> frozenset:
             return frozenset()
         if text == "all":
             return frozenset(range(n))
-        spec = [int(tok) for tok in text.split(",")]
-    targets = frozenset(map(int, spec))
+        spec = text.split(",")
+    try:
+        targets = frozenset(map(int, spec))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"targets must be integer node indices: {exc}") from exc
     if targets and (min(targets) < 0 or max(targets) >= n):
         raise UsageError(f"target out of range for n={n}")
     return targets
@@ -337,18 +340,6 @@ def true_ace_oracle(anm: ConfoundedAnm, w_targets, w_values, m_mc: int = 100_000
     y = ds.y()
     se = float(y.std(ddof=1) / np.sqrt(m_mc)) if m_mc > 1 else 0.0
     return AceEstimate(float(y.mean()), se)
-
-
-def observable_admg(anm: ConfoundedAnm, tol: float = 1e-9) -> Admg:
-    """Treatment graph plus bidirected edges wherever noise terms covary."""
-    n = anm.n
-    pairs = {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(anm.noise.cov[i, j]) > tol
-    }
-    return Admg(anm.graph, frozenset(pairs))
 
 
 def _random_coeff(rng: np.random.Generator) -> float:

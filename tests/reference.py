@@ -1,18 +1,18 @@
 """Reference oracles that the tests check the library against."""
 from canm.errors import UsageError
-from canm.graph import Admg
 
 
-def _latent_expansion(g: Admg):
-    """Children/parents maps of the DAG with one fork node per bidirected pair."""
-    n = g.dag.n
-    total = n + len(g.bidirected)
-    children = [[] for _ in range(total)]
-    parents = [[] for _ in range(total)]
-    for a, b in g.dag.edges:
+def _latent_expansion(g, bidirected):
+    """Children/parents maps of the DAG g with one fork node per bidirected
+    pair (i, j)."""
+    n = g.n
+    pairs = sorted({tuple(sorted(p)) for p in bidirected})
+    children = [[] for _ in range(n + len(pairs))]
+    parents = [[] for _ in range(n + len(pairs))]
+    for a, b in g.edges:
         children[a].append(b)
         parents[b].append(a)
-    for k, (i, j) in enumerate(sorted(g.bidirected)):
+    for k, (i, j) in enumerate(pairs):
         lat = n + k
         for dst in (i, j):
             children[lat].append(dst)
@@ -20,15 +20,16 @@ def _latent_expansion(g: Admg):
     return children, parents
 
 
-def d_separated(g: Admg, a: int, b: int, cond) -> bool:
-    """m-separation of a and b given cond, with bidirected edges read as
-    latent common-cause forks. Standard active-trail reachability."""
+def d_separated(g, a: int, b: int, cond, bidirected=()) -> bool:
+    """m-separation of a and b given cond in the DAG g plus the bidirected
+    pairs, each read as a latent common-cause fork. Standard active-trail
+    reachability."""
     cond = frozenset(int(v) for v in cond)
     if a == b:
         raise UsageError("a and b must differ")
     if a in cond or b in cond:
         raise UsageError("a and b must not be conditioned on")
-    children, parents = _latent_expansion(g)
+    children, parents = _latent_expansion(g, bidirected)
     total = len(children)
 
     anc = set(cond)

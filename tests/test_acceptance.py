@@ -28,7 +28,7 @@ from canm.harness import (
 )
 from canm.healthcare import healthcare_model
 from canm.independence import oracle_ci_test
-from canm.scm import anm_sampler, observable_admg, random_anm, sample
+from canm.scm import anm_sampler, random_anm, sample
 from canm.setsys import strongly_separating
 from canm.util import derive_seed
 
@@ -136,7 +136,7 @@ def test_criterion_03_closure_learning_exact():
         g = random_dag(n, 4, seed=int(rng.integers(1 << 30)))
         anm = random_anm(g, seed=int(rng.integers(1 << 30)))
         learned = learn_transitive_closure(
-            anm_sampler(anm), oracle_ci_test(observable_admg(anm)), n, 1, seed=trial
+            anm_sampler(anm), oracle_ci_test(anm.graph), n, 1, seed=trial
         )
         if shd(learned, transitive_closure(g)) != 0:
             ok = False
@@ -162,7 +162,7 @@ def test_criterion_04_randomized_discovery_rates():
         d_max = max(2, g.max_degree())
         anm = random_anm(g, derive_seed(seed, "anm"))
         res = learn_observable_graph(
-            anm_sampler(anm), oracle_ci_test(observable_admg(anm)),
+            anm_sampler(anm), oracle_ci_test(anm.graph),
             n, d_max, alpha, 1, derive_seed(seed, "alg"),
         )
         exact += int(shd(res.learned_graph, g) == 0)

@@ -5,7 +5,11 @@ import os
 import pytest
 
 from canm.cli import run_cli
+from canm.discovery import core_intervention_plan
+from canm.estimation import fit_model, save_model
 from canm.fixtures import fig_g1
+from canm.graph import Dag
+from canm.scm import random_anm, sample, save_anm
 
 
 def run(argv, capsys):
@@ -172,3 +176,112 @@ def test_healthcare_graph_op(capsys):
     assert payload["treatments"] == ["C", "D", "O", "I"]
     assert payload["outcome"] == "T"
     assert sorted(map(tuple, payload["graph"]["edges"])) == [(0, 3), (1, 3)]
+
+
+def _write_cfg(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _csv_rows(path):
+    return len(path.read_text().splitlines()) - 1
+
+
+def test_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    run(["gen-scm", "--n", "2", "--seed", "1", "--out", str(anm)], capsys)
+    cfg = _write_cfg(tmp_path, {"samples": 50})
+    out = tmp_path / "ds.csv"
+    base = ["sample", "--anm", str(anm), "--seed", "2", "--config", cfg, "--out", str(out)]
+    assert run(base + ["--samples", "1000"], capsys)[0] == 0
+    assert _csv_rows(out) == 1000
+    assert run(base, capsys)[0] == 0
+    assert _csv_rows(out) == 50
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["sample", "--anm", "anm.json", "--out", "ds.csv"], {"seed": "abc"}),
+    (["sample", "--anm", "anm.json", "--seed", "1", "--out", "ds.csv"], {"samples": 2.5}),
+    (["healthcare", "--op", "oracle", "--seed", "1"], {"mc": "x"}),
+])
+def test_wrong_typed_config_value_is_usage_error(argv, cfg, tmp_path, capsys):
+    code, out, err = run(argv + ["--config", _write_cfg(tmp_path, cfg)], capsys)
+    assert code == 2
+    assert out == "" and "invalid" in err and "Traceback" not in err
+
+
+def test_sample_rejects_non_integer_targets(tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    run(["gen-scm", "--n", "2", "--seed", "1", "--out", str(anm)], capsys)
+    code, _, err = run(["sample", "--anm", str(anm), "--targets", "x", "--seed", "2",
+                        "--out", str(tmp_path / "ds.csv")], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "integer" in err
+
+
+def test_check_rejects_out_of_range_targets(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    Dag(2, {(0, 1)}).save(gpath)
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps([[], [0, 1], [0, 7]]))
+    code, out, err = run(["check", "--graph", str(gpath), "--targets-file", str(tpath)], capsys)
+    assert code == 2
+    assert out == "" and "out of range" in err
+
+
+@pytest.fixture
+def model_path(tmp_path):
+    anm = random_anm(Dag(2, {(0, 1)}), seed=3)
+    datasets = [sample(anm, s, "std_normal", 200, k) for k, s in
+                enumerate(core_intervention_plan(anm.graph))]
+    path = tmp_path / "model.json"
+    save_model(fit_model(anm.graph, datasets), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("values", ["abc", "1,x"])
+def test_ace_rejects_non_numeric_values(values, model_path, capsys):
+    code, out, err = run(["ace", "--model", model_path, "--targets", "0,1",
+                          "--values", values, "--seed", "3"], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "numbers" in err
+
+
+@pytest.mark.parametrize("values", ["nan", "inf", "abc"])
+def test_healthcare_oracle_rejects_bad_values(values, capsys):
+    code, out, err = run(["healthcare", "--op", "oracle", "--targets", "0",
+                          "--values", values, "--mc", "100", "--seed", "1"], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+
+
+def test_fit_graph_dataset_size_mismatch_is_usage_error(tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    run(["gen-scm", "--n", "3", "--seed", "1", "--out", str(anm)], capsys)
+    run(["sample", "--anm", str(anm), "--seed", "2", "--out", str(tmp_path / "ds.csv")],
+        capsys)
+    gpath = tmp_path / "g4.json"
+    Dag(4).save(gpath)
+    code, _, err = run(["fit", "--graph", str(gpath), "--data", str(tmp_path / "ds.csv"),
+                        "--out", str(tmp_path / "model.json")], capsys)
+    assert code == 2
+    assert "usage" in err and "treatments" in err
+
+
+def test_rank_deficient_fit_exits_four(tmp_path, capsys):
+    # the witness for X2 holds its parent X1 at one value: a singular design
+    anm = tmp_path / "anm.json"
+    save_anm(random_anm(Dag(2, {(0, 1)}), seed=3), anm)
+    gpath = tmp_path / "g.json"
+    Dag(2, {(0, 1)}).save(gpath)
+    paths = []
+    for name, targets, policy in (("obs", "", "std_normal"), ("joint", "all", "std_normal"),
+                                  ("w", "0", "fixed:0.5")):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        assert run(["sample", "--anm", str(anm), "--targets", targets, "--policy", policy,
+                    "--samples", "200", "--seed", "4", "--out", paths[-1]], capsys)[0] == 0
+    code, out, err = run(["fit", "--graph", str(gpath), "--data", *paths,
+                          "--out", str(tmp_path / "model.json")], capsys)
+    assert code == 4
+    assert out == "" and err.count("\n") == 1 and "rank-deficient" in err

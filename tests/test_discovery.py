@@ -17,17 +17,18 @@ from canm.discovery import (
     save_discovery_result,
 )
 from canm.errors import UsageError
+from canm.estimation import fit_model
 from canm.fixtures import fig_g1, fig_g2, fig_g3
 from canm.graph import Dag, random_dag, shd, transitive_closure
 from canm.independence import data_ci_test, oracle_ci_test
-from canm.scm import LazyDataset, anm_sampler, observable_admg, random_anm
+from canm.scm import LazyDataset, anm_sampler, random_anm
 from canm.setsys import strongly_separating
 from canm.util import derive_seed
 
 
 def oracle_setup(g, seed):
     anm = random_anm(g, seed=seed)
-    return anm_sampler(anm), oracle_ci_test(observable_admg(anm))
+    return anm_sampler(anm), oracle_ci_test(anm.graph)
 
 
 def dfs_reach(n, edges):
@@ -115,7 +116,7 @@ class TestLazyRegimes:
     def test_oracle_discovery_draws_only_when_read(self):
         g = random_dag(8, 3, seed=30)
         anm = random_anm(g, seed=31)
-        oracle = oracle_ci_test(observable_admg(anm))
+        oracle = oracle_ci_test(anm.graph)
         draw, calls = counting(anm_sampler(anm))
         res = learn_observable_graph(draw, oracle, 8, 3, 2.0, 25, seed=32)
         assert calls == []
@@ -133,6 +134,19 @@ class TestLazyRegimes:
         assert sorted(calls) == sorted(eager_calls)
         res.collected[0].x(0)
         assert len(calls) == len(res.collected)
+
+    def test_fit_model_draws_only_the_regimes_it_fits_from(self):
+        g = random_dag(8, 3, seed=30)
+        anm = random_anm(g, seed=31)
+        draw, calls = counting(anm_sampler(anm))
+        res = learn_observable_graph(draw, oracle_ci_test(g), 8, 3, 2.0, 400, seed=32)
+        assert res.learned_graph == g
+        with pytest.raises(UsageError, match="treatments"):
+            fit_model(Dag(9), res.collected)
+        assert calls == []
+        fit_model(res.learned_graph, res.collected)
+        # the joint and observational regimes plus at most one witness each
+        assert 0 < len(calls) <= g.n + 2 < len(res.collected)
 
     @pytest.mark.parametrize("level", [1e-3, 0.3])
     def test_pearson_discovery_matches_reference(self, level):
@@ -244,7 +258,7 @@ class TestObservableGraph:
         g = random_dag(4, 3, seed=15)
         anm = random_anm(g, seed=16)
         res = learn_observable_graph(
-            anm_sampler(anm), oracle_ci_test(observable_admg(anm)),
+            anm_sampler(anm), oracle_ci_test(anm.graph),
             4, 3, 1.0, 25, seed=17,
         )
         save_discovery_result(res, tmp_path / "out")

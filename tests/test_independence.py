@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from canm.errors import UsageError
-from canm.graph import Admg, Dag, random_dag
-from canm.independence import data_ci_test, oracle_ci_test, oracle_dependent
+from canm.graph import Dag, random_dag
+from canm.independence import data_ci_test, oracle_ci_test
 from canm.independence import test_independence as run_test
 from canm.scm import InterventionalDataset, random_anm, sample
 from reference import d_separated
@@ -96,70 +96,73 @@ def bfs_reachable(edges, n, targets, src, dst):
     return False
 
 
+def oracle_verdicts(g, targets, pairs):
+    """The oracle's verdicts for pairs under do(targets); its scalar test and
+    its batch must agree."""
+    test = oracle_ci_test(g)
+    ds = InterventionalDataset(frozenset(targets), "std_normal", np.zeros((1, g.n + 1)), 0)
+    verdicts = [test(ds, a, b) for a, b in pairs]
+    assert test.batch(ds, pairs) == verdicts
+    return verdicts
+
+
 class TestOracle:
     def test_directed_path_survives(self):
-        g = Admg(Dag(3, {(0, 1), (1, 2)}))
-        assert oracle_dependent(g, {0}, 0, 2) is True
+        assert oracle_verdicts(Dag(3, {(0, 1), (1, 2)}), {0}, [(0, 2)]) == [True]
 
     def test_no_path_means_independent(self):
-        g = Admg(Dag(2, {(0, 1)}))
-        assert oracle_dependent(g, {1}, 1, 0) is False
+        assert oracle_verdicts(Dag(2, {(0, 1)}), {1}, [(1, 0)]) == [False]
 
     def test_randomization_severs_latent_link(self):
-        g = Admg(Dag(3), {(0, 2)})
-        assert oracle_dependent(g, {0}, 0, 2) is False
+        # 0 <-> 2 are confounded until do(0) cuts the latent link into 0
+        assert not d_separated(Dag(3), 0, 2, (), {(0, 2)})
+        assert oracle_verdicts(Dag(3), {0}, [(0, 2)]) == [False]
 
     def test_query_shape_enforced(self):
-        g = Admg(Dag(2, {(0, 1)}))
-        with pytest.raises(UsageError):
-            oracle_dependent(g, {0}, 1, 0)
-        with pytest.raises(UsageError):
-            oracle_dependent(g, {0, 1}, 0, 1)
+        test = oracle_ci_test(Dag(2, {(0, 1)}))
+        # a not intervened; b intervened; b not a node of the graph
+        for targets, pair in (({0}, (1, 0)), ({0, 1}, (0, 1)), ({0}, (0, 2))):
+            ds = InterventionalDataset(frozenset(targets), "std_normal", np.zeros((1, 4)), 0)
+            with pytest.raises(UsageError):
+                test(ds, *pair)
+            with pytest.raises(UsageError):
+                test.batch(ds, [pair])
 
     def test_matches_bfs_on_random_graphs(self):
         rng = np.random.default_rng(9)
         for trial in range(60):
             g = random_dag(6, 4, seed=int(rng.integers(1 << 30)))
-            admg = Admg(g)
             targets = frozenset(
                 int(v) for v in range(6) if rng.random() < 0.5
             ) or frozenset({0})
-            for a in sorted(targets):
-                for b in range(6):
-                    if b in targets:
-                        continue
-                    got = oracle_dependent(admg, targets, a, b)
-                    want = bfs_reachable(g.edges, 6, targets, a, b)
-                    assert got == want
+            pairs = [(a, b) for a in sorted(targets) for b in range(6) if b not in targets]
+            want = [bfs_reachable(g.edges, 6, targets, a, b) for a, b in pairs]
+            assert oracle_verdicts(g, targets, pairs) == want
 
 
 @st.composite
 def oracle_queries(draw):
-    """A random ADMG and an intervention set of at least one node."""
+    """A random DAG, latent links as bidirected pairs, and an intervention
+    set of at least one node."""
     n = draw(st.integers(2, 8))
     g = random_dag(n, draw(st.integers(1, 4)), seed=draw(st.integers(0, 1 << 30)))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
     bidirected = draw(st.sets(pair, max_size=n))
     targets = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    return Admg(g, frozenset(bidirected)), frozenset(targets)
+    return g, frozenset(bidirected), frozenset(targets)
 
 
 class TestOracleAgainstDSeparation:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(oracle_queries())
     def test_verdict_is_marginal_m_connection_after_surgery(self, case):
-        admg, targets = case
-        n = admg.dag.n
+        g, bidirected, targets = case
         # do(targets) removes every edge and latent link into a target
-        cut = Admg(Dag(n, frozenset((a, b) for a, b in admg.dag.edges if b not in targets)),
-                   frozenset(p for p in admg.bidirected if not set(p) & targets))
-        test = oracle_ci_test(admg)
-        ds = InterventionalDataset(targets, "std_normal", np.zeros((1, n + 1)), 0)
-        pairs = [(a, b) for a in sorted(targets) for b in range(n) if b not in targets]
-        want = [not d_separated(cut, a, b, ()) for a, b in pairs]
-        assert [oracle_dependent(admg, targets, a, b) for a, b in pairs] == want
-        assert [test(ds, a, b) for a, b in pairs] == want
-        assert test.batch(ds, pairs) == want
+        cut = Dag(g.n, frozenset((a, b) for a, b in g.edges if b not in targets))
+        kept = frozenset(p for p in bidirected if not set(p) & targets)
+        pairs = [(a, b) for a in sorted(targets) for b in range(g.n) if b not in targets]
+        want = [not d_separated(cut, a, b, (), kept) for a, b in pairs]
+        assert oracle_verdicts(g, targets, pairs) == want
 
 
 class TestPearsonBatch:
@@ -210,6 +213,6 @@ class TestBackendAgreement:
             b = free[int(rng.integers(len(free)))]
             ds = sample(anm, targets, "std_normal", 2000, seed=int(rng.integers(1 << 30)))
             stat = data_ci_test("pearson", level=0.01, seed=k)(ds, a, b)
-            orc = oracle_ci_test(Admg(g))(ds, a, b)
+            orc = oracle_ci_test(g)(ds, a, b)
             agree += int(stat == orc)
         assert agree / total >= 0.98
