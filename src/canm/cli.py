@@ -227,10 +227,19 @@ def _cmd_healthcare(args) -> int:
     raise UsageError(f"unknown healthcare op {args.op!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage problem as a UsageError, so it ends in the one-line
+    ``error: usage:`` message and exit 2 like every other bad input; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     """The canm parser. ``config_defaults`` maps a subcommand to flag
     defaults read from its --config file."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="canm",
         description="confounded additive-noise models: simulate, discover, estimate",
     )
@@ -347,7 +356,7 @@ def run_cli(argv) -> int:
         args = _parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage problems
+        # argparse exits 0 after --help; usage problems raise UsageError
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

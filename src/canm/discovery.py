@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .graph import Dag, bit_nodes, closure_bits, transitive_reduction
-from .scm import LazyDataset, load_dataset, save_dataset
+from .scm import LazyDataset, open_dataset, save_dataset
 from .setsys import strongly_separating
 from .util import derive_seed
 
@@ -248,11 +248,13 @@ def save_discovery_result(res: DiscoveryResult, out_dir) -> None:
 
 
 def load_discovery_result(out_dir) -> DiscoveryResult:
+    """The saved result with every dataset as a handle (``scm.open_dataset``):
+    each sidecar and CSV header is read and checked now, but rows are parsed
+    only for the datasets a caller reads."""
     graph = Dag.load(os.path.join(out_dir, "graph.json"))
     with open(os.path.join(out_dir, "report.json")) as fh:
         report = json.load(fh)
     ds_dir = os.path.join(out_dir, "datasets")
-    collected = []
-    for k in range(report["dataset_count"]):
-        collected.append(load_dataset(os.path.join(ds_dir, f"{k}.csv")))
+    collected = [open_dataset(os.path.join(ds_dir, f"{k}.csv"))
+                 for k in range(report["dataset_count"])]
     return DiscoveryResult(graph, tuple(collected), report["interventions_used"])

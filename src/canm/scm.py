@@ -12,6 +12,7 @@ m, seed).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +229,8 @@ class InterventionalDataset:
 class LazyDataset:
     """An InterventionalDataset drawn on first read: ``targets`` (checked
     against n here, as an eager draw would), ``n`` and ``m`` are known at
-    once; any other attribute calls ``draw()`` once and reads its result."""
+    once; any other attribute calls ``draw()`` once and reads its result,
+    which must have that n and m."""
 
     __slots__ = ("targets", "n", "m", "_draw", "_ds")
 
@@ -241,7 +243,11 @@ class LazyDataset:
         if name.startswith("_"):
             raise AttributeError(name)
         if self._ds is None:
-            self._ds, self._draw = self._draw(), None
+            ds = self._draw()
+            if (ds.n, ds.m) != (self.n, self.m):
+                raise UsageError(f"dataset has n={ds.n}, m={ds.m}; "
+                                 f"its handle promised n={self.n}, m={self.m}")
+            self._ds, self._draw = ds, None
         return getattr(self._ds, name)
 
 
@@ -265,7 +271,8 @@ def parse_targets(spec, n: int) -> frozenset:
             return frozenset(range(n))
         spec = text.split(",")
     try:
-        targets = frozenset(map(int, spec))
+        # operator.index rejects 1.5 where int() would truncate it
+        targets = frozenset(int(t) if isinstance(t, str) else operator.index(t) for t in spec)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"targets must be integer node indices: {exc}") from exc
     if targets and (min(targets) < 0 or max(targets) >= n):
@@ -421,22 +428,30 @@ def load_anm(path) -> ConfoundedAnm:
         return anm_from_json(json.load(fh))
 
 
-def dataset_csv_text(ds: InterventionalDataset) -> str:
-    header = ",".join([f"X{i + 1}" for i in range(ds.n)] + ["Y"])
-    lines = [header]
-    for row in ds.data:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+# Rows formatted per write: bounds the text held in memory for large m.
+_ROW_BLOCK = 1024
 
 
-def save_dataset(ds: InterventionalDataset, csv_path, meta_path=None) -> None:
-    """CSV (header X1..Xn,Y) plus a JSON sidecar describing the regime."""
+def _dataset_paths(csv_path, meta_path):
     csv_path = str(csv_path)
     if meta_path is None:
         base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
         meta_path = base + ".meta.json"
+    return csv_path, meta_path
+
+
+def save_dataset(ds: InterventionalDataset, csv_path, meta_path=None) -> None:
+    """CSV (header X1..Xn,Y) plus a JSON sidecar describing the regime.
+
+    Every value is written as ``%.17g``, which round-trips a float64 exactly.
+    """
+    csv_path, meta_path = _dataset_paths(csv_path, meta_path)
+    row = ",".join(["%.17g"] * (ds.n + 1)) + "\n"
     with open(csv_path, "w") as fh:
-        fh.write(dataset_csv_text(ds))
+        fh.write(",".join([f"X{i + 1}" for i in range(ds.n)] + ["Y"]) + "\n")
+        for start in range(0, ds.m, _ROW_BLOCK):
+            block = ds.data[start:start + _ROW_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     meta = {
         "targets": sorted(ds.targets),
         "policy": ds.value_policy,
@@ -448,14 +463,43 @@ def save_dataset(ds: InterventionalDataset, csv_path, meta_path=None) -> None:
         fh.write("\n")
 
 
-def load_dataset(csv_path, meta_path=None) -> InterventionalDataset:
-    csv_path = str(csv_path)
-    if meta_path is None:
-        base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-        meta_path = base + ".meta.json"
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+def _dataset_head(csv_path, meta_path):
+    """Paths, n from the CSV header and the checked sidecar of a saved
+    dataset; no row is parsed."""
+    csv_path, meta_path = _dataset_paths(csv_path, meta_path)
     with open(meta_path) as fh:
         meta = json.load(fh)
-    return InterventionalDataset(
-        frozenset(meta["targets"]), meta["policy"], data, int(meta["seed"])
-    )
+    try:
+        meta = {key: meta[key] for key in ("targets", "policy", "seed", "m")}
+        meta["seed"], meta["m"] = operator.index(meta["seed"]), operator.index(meta["m"])
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"malformed dataset sidecar {meta_path}: {exc!r}") from exc
+    with open(csv_path) as fh:
+        n = fh.readline().count(",")
+    if n < 1:
+        raise UsageError(f"dataset {csv_path} has no X1..Xn,Y header")
+    return csv_path, meta_path, n, meta
+
+
+def load_dataset(csv_path, meta_path=None) -> InterventionalDataset:
+    """Parse a dataset written by ``save_dataset``; its rows must match the
+    header's n and the sidecar's m."""
+    csv_path, meta_path, n, meta = _dataset_head(csv_path, meta_path)
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise UsageError(f"malformed dataset {csv_path}: {exc}") from exc
+    if data.size == 0:
+        data = data.reshape(0, n + 1)
+    if data.shape != (meta["m"], n + 1):
+        raise UsageError(f"dataset {csv_path} holds {data.shape[0]} rows of {data.shape[1]} "
+                         f"values; its header and sidecar give {meta['m']} rows of {n + 1}")
+    return InterventionalDataset(meta["targets"], meta["policy"], data, meta["seed"])
+
+
+def open_dataset(csv_path, meta_path=None) -> LazyDataset:
+    """A handle on a saved dataset: the sidecar and the CSV header are read
+    now, so targets, n and m are known and checked; the rows are parsed by
+    ``load_dataset`` on first read of any other attribute."""
+    csv_path, meta_path, n, meta = _dataset_head(csv_path, meta_path)
+    return LazyDataset(n, meta["targets"], meta["m"], lambda: load_dataset(csv_path, meta_path))

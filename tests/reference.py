@@ -65,3 +65,14 @@ def d_separated(g, a: int, b: int, cond, bidirected=()) -> bool:
                 for p in parents[v]:
                     stack.append((p, True))
     return True
+
+
+def dataset_csv_text(ds) -> str:
+    """The dataset CSV text, one ``f"{v:.17g}"`` per numpy value: the
+    per-value formatter the block writer in ``scm.save_dataset`` replaced,
+    kept to check that writer byte for byte."""
+    header = ",".join([f"X{i + 1}" for i in range(ds.n)] + ["Y"])
+    lines = [header]
+    for row in ds.data:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"

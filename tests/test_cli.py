@@ -4,12 +4,13 @@ import os
 
 import pytest
 
+from canm import scm
 from canm.cli import run_cli
 from canm.discovery import core_intervention_plan
 from canm.estimation import fit_model, save_model
 from canm.fixtures import fig_g1
 from canm.graph import Dag
-from canm.scm import random_anm, sample, save_anm
+from canm.scm import load_dataset, random_anm, sample, save_anm
 
 
 def run(argv, capsys):
@@ -285,3 +286,81 @@ def test_rank_deficient_fit_exits_four(tmp_path, capsys):
                           "--out", str(tmp_path / "model.json")], capsys)
     assert code == 4
     assert out == "" and err.count("\n") == 1 and "rank-deficient" in err
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["sample", "--anm", "anm.json", "--seed", "1", "--out", "ds.csv"], {"samples": "x"}),
+    (["sample", "--anm", "anm.json", "--seed", "1", "--out", "ds.csv", "--bogus"], None),
+    (["sample", "--seed", "1"], None),
+    (["nope"], None),
+])
+def test_argparse_usage_error_is_one_line(argv, cfg, tmp_path, capsys):
+    if cfg is not None:
+        argv = argv + ["--config", _write_cfg(tmp_path, cfg)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: usage: canm")
+
+
+def test_check_rejects_non_integral_targets(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    Dag(2, {(0, 1)}).save(gpath)
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps([[], [0, 1], [1.5]]))
+    code, out, err = run(["check", "--graph", str(gpath), "--targets-file", str(tpath)], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "integer" in err
+
+
+@pytest.fixture
+def disc_dir(tmp_path, capsys, monkeypatch):
+    """A 4-node discovery output directory, and the list that records every
+    dataset whose rows are parsed from then on."""
+    anm = tmp_path / "anm.json"
+    run(["gen-scm", "--n", "4", "--dmax", "3", "--seed", "6", "--out", str(anm)], capsys)
+    disc = tmp_path / "disc"
+    assert run(["discover", "--anm", str(anm), "--dmax", "3", "--alpha", "2",
+                "--samples", "200", "--test", "oracle", "--seed", "7",
+                "--out", str(disc)], capsys)[0] == 0
+    parsed = []
+
+    def counting_load(csv_path, meta_path=None):
+        parsed.append(csv_path)
+        return load_dataset(csv_path, meta_path)
+
+    monkeypatch.setattr(scm, "load_dataset", counting_load)
+    return disc, parsed
+
+
+def test_fit_from_dir_parses_only_the_regimes_it_fits_from(disc_dir, tmp_path, capsys):
+    disc, parsed = disc_dir
+    lazy, eager = tmp_path / "lazy.json", tmp_path / "eager.json"
+    assert run(["fit", "--from-dir", str(disc), "--out", str(lazy)], capsys)[0] == 0
+    count = json.loads((disc / "report.json").read_text())["dataset_count"]
+    assert 0 < len(parsed) <= 4 + 2 < count
+    paths = [str(disc / "datasets" / f"{k}.csv") for k in range(count)]
+    assert run(["fit", "--graph", str(disc / "graph.json"), "--data", *paths,
+                "--out", str(eager)], capsys)[0] == 0
+    assert lazy.read_bytes() == eager.read_bytes()
+
+
+def test_fit_from_dir_checks_every_dataset_before_parsing(disc_dir, capsys):
+    disc, parsed = disc_dir
+    argv = ["fit", "--from-dir", str(disc), "--out", str(disc / "model.json")]
+    graph = (disc / "graph.json").read_text()
+    Dag(5).save(disc / "graph.json")
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "treatments" in err
+    (disc / "graph.json").write_text(graph)
+    meta = disc / "datasets" / "3.meta.json"
+    text = meta.read_text()
+    meta.write_text(json.dumps({**json.loads(text), "targets": [7]}))
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "out of range" in err
+    meta.unlink()
+    code, _, err = run(argv, capsys)
+    assert code == 5 and err.count("\n") == 1
+    meta.write_text(text)
+    (disc / "datasets" / "5.csv").unlink()
+    assert run(argv, capsys)[0] == 5
+    assert parsed == []

@@ -1,14 +1,18 @@
-"""Property tests: seed derivation and the JSON/CSV persistence round-trips."""
+"""Property tests: seed derivation, the JSON/CSV persistence round-trips and
+sufficiency monotonicity."""
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from canm.discovery import core_intervention_plan
+from canm import scm
+from canm.discovery import check_sufficiency, core_intervention_plan
 from canm.estimation import fit_model, model_from_json, model_to_json
 from canm.graph import Dag, random_dag
 from canm.scm import (
@@ -21,6 +25,8 @@ from canm.scm import (
     save_dataset,
 )
 from canm.util import derive_seed
+
+from reference import dataset_csv_text
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -102,13 +108,14 @@ def test_model_json_round_trip(g, seed, regressor):
 @st.composite
 def datasets(draw):
     n = draw(st.integers(1, 5))
-    data = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(n + 1)),
+    data = draw(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(n + 1)),
                            elements=st.floats(allow_nan=False, allow_infinity=False)))
     targets = draw(st.sets(st.integers(0, n - 1)))
     policy = draw(st.sampled_from(["std_normal", "fixed:0.5", "uniform:-2,2"]))
     return InterventionalDataset(frozenset(targets), policy, data, draw(st.integers(0, 1 << 62)))
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 @PROPERTY
 @given(datasets())
 def test_dataset_csv_round_trip_is_bitwise(ds):
@@ -119,3 +126,50 @@ def test_dataset_csv_round_trip_is_bitwise(ds):
     assert back.data.shape == ds.data.shape
     assert back.data.tobytes() == ds.data.tobytes()
     assert (back.targets, back.value_policy, back.seed) == (ds.targets, ds.value_policy, ds.seed)
+
+
+# values whose text is easiest to get wrong: signed zero, subnormals, the
+# largest finite magnitudes and numbers needing all 17 significant digits
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3, 1e-300, -1e300, 123456789012345680.0]
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 12), st.just(n + 1)),
+    elements=st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.floats(allow_nan=False, allow_infinity=False)))),
+    st.integers(1, 5))
+@example(np.array(EDGE_VALUES[:12]).reshape(4, 3), 3)
+@example(np.zeros((0, 2)), 1)
+def test_dataset_writer_matches_per_value_formatter(data, block):
+    ds = InterventionalDataset(frozenset(), "std_normal", data, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ds.csv")
+        # small row blocks, so the block boundaries fall inside these datasets
+        with mock.patch.object(scm, "_ROW_BLOCK", block):
+            save_dataset(ds, path)
+        with open(path) as fh:
+            text = fh.read()
+    assert text == dataset_csv_text(ds)
+
+
+@PROPERTY
+@given(graphs, st.data())
+def test_sufficiency_is_monotone_in_the_targets(g, data):
+    """Adding a target set never loses a witness, the joint or the
+    observational regime, so a sufficient collection stays sufficient."""
+    subsets = st.frozensets(st.integers(0, g.n - 1))
+    flags = data.draw(st.tuples(*[st.booleans()] * g.n))
+    # start from a sufficient collection half the time: random ones rarely are
+    targets = list(core_intervention_plan(g, flags)) if data.draw(st.booleans()) else []
+    targets += data.draw(st.lists(subsets, max_size=3))
+    before = check_sufficiency(g, targets, flags)
+    for extra in data.draw(st.lists(subsets, min_size=1, max_size=4)):
+        targets.insert(data.draw(st.integers(0, len(targets))), extra)
+        after = check_sufficiency(g, targets, flags)
+        assert set(after.missing) <= set(before.missing)
+        assert after.has_joint >= before.has_joint
+        assert after.has_observational >= before.has_observational
+        assert after.sufficient >= before.sufficient
+        before = after

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from canm import scm
 from canm.errors import UsageError
 from canm.fixtures import linear_pair_a, linear_pair_b, product_outcome_pair
 from canm.graph import Dag, random_dag
@@ -14,6 +15,8 @@ from canm.scm import (
     anm_from_json,
     anm_to_json,
     load_dataset,
+    open_dataset,
+    parse_targets,
     random_anm,
     sample,
     save_dataset,
@@ -150,6 +153,68 @@ def test_dataset_round_trip(tmp_path):
     assert back.targets == ds.targets
     assert back.value_policy == ds.value_policy
     np.testing.assert_allclose(back.data, ds.data)
+
+
+def _saved(tmp_path, m=20):
+    anm = random_anm(random_dag(3, 2, seed=25), seed=26)
+    ds = sample(anm, {0, 2}, "std_normal", m, seed=27)
+    save_dataset(ds, tmp_path / "d.csv")
+    return ds, tmp_path / "d.csv", tmp_path / "d.meta.json"
+
+
+def test_open_dataset_parses_rows_on_first_read(tmp_path, monkeypatch):
+    ds, csv, _ = _saved(tmp_path)
+    loads = []
+    monkeypatch.setattr(scm, "load_dataset", lambda *a: loads.append(a) or load_dataset(*a))
+    lazy = open_dataset(csv)
+    assert (lazy.targets, lazy.n, lazy.m, loads) == (ds.targets, 3, 20, [])
+    assert lazy.data.tobytes() == ds.data.tobytes()
+    assert (lazy.seed, lazy.value_policy, len(loads)) == (ds.seed, ds.value_policy, 1)
+
+
+@pytest.mark.parametrize("meta_m", [19, 21])
+def test_sidecar_m_must_match_the_rows(meta_m, tmp_path):
+    _, csv, meta = _saved(tmp_path)
+    meta.write_text(meta.read_text().replace('"m": 20', f'"m": {meta_m}'))
+    with pytest.raises(UsageError, match="rows"):
+        load_dataset(csv)
+    lazy = open_dataset(csv)  # the handle reports the sidecar's m until it reads
+    assert lazy.m == meta_m
+    with pytest.raises(UsageError, match="rows"):
+        lazy.data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda csv, meta: meta.write_text('{"targets": [0], "policy": "std_normal", "seed": 1}'),
+    lambda csv, meta: meta.write_text(meta.read_text().replace('"m": 20', '"m": 2.5')),
+    lambda csv, meta: meta.write_text(meta.read_text().replace("[\n  0,", "[\n  1.5,")),
+    lambda csv, meta: meta.write_text(meta.read_text().replace("2\n ]", "3\n ]")),
+    lambda csv, meta: csv.write_text(""),
+    lambda csv, meta: csv.write_text(csv.read_text() + "1,2\n"),
+])
+def test_malformed_dataset_files_are_usage_errors(edit, tmp_path):
+    _, csv, meta = _saved(tmp_path)
+    edit(csv, meta)
+    with pytest.raises(UsageError):
+        load_dataset(csv)
+    with pytest.raises(UsageError):
+        open_dataset(csv).data
+
+
+def test_lazy_dataset_checks_what_it_draws():
+    anm = random_anm(random_dag(3, 2, seed=28), seed=29)
+    lazy = LazyDataset(3, {0}, 40, lambda: sample(anm, {0}, "std_normal", 41, seed=30))
+    with pytest.raises(UsageError, match="promised"):
+        lazy.data
+
+
+def test_parse_targets_rejects_non_integral_numbers():
+    assert parse_targets([np.int64(1), 0], 3) == frozenset({0, 1})
+    assert parse_targets("0, 2", 3) == frozenset({0, 2})
+    assert parse_targets(np.array([2]), 3) == frozenset({2})
+    for bad in ([1.5], [1.0], [np.float64(1)], ["x"], 3):
+        with pytest.raises(UsageError, match="integer"):
+            parse_targets(bad, 3)
 
 
 def test_dataset_targets_must_be_treatments():
