@@ -14,6 +14,7 @@ from .scm import (
     anm_sampler,
     random_anm,
     sample,
+    true_ace_exact,
     true_ace_oracle,
 )
 from .setsys import SeparatingSetSystem, strongly_separating

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .graph import Dag, bit_nodes, closure_bits, transitive_reduction
-from .scm import LazyDataset, open_dataset, save_dataset
+from .graph import Dag, bit_edges, bit_nodes, closure_bits, reduction_bits
+from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
 from .util import derive_seed
 
@@ -48,17 +48,22 @@ class SufficiencyReport:
     has_observational: bool
 
 
-def _strict_order_edges(n: int, raw_edges) -> frozenset:
+def _strict_order_bits(n: int, raw_edges) -> list:
     """Reachability closure of possibly-contradictory raw edges, with any
-    mutually-reachable pair dropped so the result is a strict partial order.
+    mutually-reachable pair dropped so the result is a strict partial order,
+    as ``closure_bits`` rows. The order is transitively closed: a < b < c
+    with c ~> a would make b ~> a.
 
     Statistical false positives can make the raw dependence relation cyclic;
     keeping only the one-directional part of its closure is the minimal
     repair that preserves everything consistent.
     """
     reach = closure_bits(n, raw_edges)
-    return frozenset((a, b) for a in range(n) for b in bit_nodes(reach[a])
-                     if not reach[b] >> a & 1)
+    back = [0] * n  # back[a]: every node that reaches a
+    for b in range(n):
+        for a in bit_nodes(reach[b]):
+            back[a] |= 1 << b
+    return [reach[a] & ~back[a] for a in range(n)]
 
 
 def _regime(sampler, lazy, n, targets, m, seed, *key):
@@ -90,7 +95,7 @@ def _closure_with_data(sampler, test, n, m_per_int, seed, context=frozenset()):
         else:
             verdicts = [test(ds, a, b) for a, b in pairs]
         raw.update(p for p, dep in zip(pairs, verdicts) if dep)
-    return Dag(n, _strict_order_edges(n, raw)), datasets
+    return _strict_order_bits(n, raw), datasets
 
 
 def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
@@ -105,8 +110,8 @@ def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    dag, _ = _closure_with_data(sampler, test, n, m_per_int, seed)
-    return dag
+    order, _ = _closure_with_data(sampler, test, n, m_per_int, seed)
+    return Dag(n, frozenset(bit_edges(order)))
 
 
 def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0,
@@ -143,13 +148,12 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     for t in range(outer):
         rng = np.random.default_rng(derive_seed(seed, "subset", t))
         s = frozenset(int(i) for i in range(n) if rng.random() < include_prob)
-        closure_t, inner = _closure_with_data(
+        order, inner = _closure_with_data(
             sampler, test, n, m_per_int, derive_seed(seed, "closure", t), context=s
         )
         collected.extend(inner)
         interventions += len(inner)
-        reduction = transitive_reduction(closure_t)
-        for a, b in sorted(reduction.edges):
+        for a, b in bit_edges(reduction_bits(order)):
             if (a, b) in edges or reach[b] >> a & 1:
                 continue
             edges.add((a, b))
@@ -205,7 +209,7 @@ def check_sufficiency(g: Dag, targets_list, independent_flags=None) -> Sufficien
     flags = tuple(independent_flags) if independent_flags else (False,) * n
     if len(flags) != n:
         raise UsageError("independent_flags length must equal node count")
-    targets = [frozenset(map(int, s)) for s in targets_list]
+    targets = [parse_targets(s, n) for s in targets_list]
     full = frozenset(range(n))
     has_joint = full in targets
     has_obs = frozenset() in targets

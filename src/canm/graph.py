@@ -130,10 +130,27 @@ def bit_nodes(mask: int) -> list:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
+def bit_edges(rows) -> list:
+    """The edges (i, j) of bitset rows (bit j of rows[i]), in sorted order."""
+    return [(i, j) for i, row in enumerate(rows) for j in bit_nodes(row)]
+
+
 def transitive_closure(g: Dag) -> Dag:
     """Edge (i, j) in the result iff a directed path i ~> j exists in g."""
-    reach = closure_bits(g.n, g.edges)
-    return Dag(g.n, frozenset((i, j) for i in range(g.n) for j in bit_nodes(reach[i])))
+    return Dag(g.n, frozenset(bit_edges(closure_bits(g.n, g.edges))))
+
+
+def reduction_bits(reach: list) -> list:
+    """Transitive reduction of an acyclic reachability relation given as
+    ``closure_bits`` rows: v stays a child of u iff no w with u ~> w has
+    w ~> v."""
+    red = []
+    for row in reach:
+        via = 0
+        for w in bit_nodes(row):
+            via |= reach[w]
+        red.append(row & ~via)
+    return red
 
 
 def transitive_reduction(g: Dag) -> Dag:
@@ -143,14 +160,7 @@ def transitive_reduction(g: Dag) -> Dag:
     such edges are necessarily direct edges of g, so the result is a subset
     of g's edge set.
     """
-    reach = closure_bits(g.n, g.edges)
-    kept = []
-    for u in range(g.n):
-        via = 0
-        for w in bit_nodes(reach[u]):
-            via |= reach[w]
-        kept.extend((u, v) for v in bit_nodes(reach[u] & ~via))
-    return Dag(g.n, frozenset(kept))
+    return Dag(g.n, frozenset(bit_edges(reduction_bits(closure_bits(g.n, g.edges)))))
 
 
 def shd(g1: Dag, g2: Dag) -> int:

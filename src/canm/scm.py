@@ -3,8 +3,9 @@
 A model is a DAG over treatments, one structural function per treatment, an
 outcome function over all treatments, and a single multivariate Gaussian
 noise vector (U_1..U_n, U_Y) whose off-diagonal covariance is what makes the
-model confounded. Sampling under arbitrary do-interventions and a Monte-Carlo
-ground-truth effect oracle live here.
+model confounded. Sampling under arbitrary do-interventions and the
+ground-truth effect oracles (Monte-Carlo, and exact for linear treatment
+equations) live here.
 
 Models are immutable; sampling is a pure function of (model, targets, policy,
 m, seed).
@@ -25,13 +26,22 @@ PSD_EIG_FLOOR = -1e-9
 SYM_TOL = 1e-12
 
 
+def _node_index(node) -> int:
+    """A node index: JSON object keys are strings of digits, anything else
+    must be an integer (operator.index rejects 1.9 where int() truncates)."""
+    try:
+        return int(node) if isinstance(node, str) else operator.index(node)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"node indices must be integers, got {node!r}") from exc
+
+
 def _norm_linear(linear):
     if linear is None:
         return ()
     items = linear.items() if hasattr(linear, "items") else linear
     out = {}
     for node, coeff in items:
-        node = int(node)
+        node = _node_index(node)
         if node in out:
             raise UsageError(f"duplicate linear term for node {node}")
         out[node] = float(coeff)
@@ -46,7 +56,7 @@ def _norm_pairwise(pairwise):
     ]
     out = {}
     for (p, q), coeff in items:
-        p, q = sorted((int(p), int(q)))
+        p, q = sorted((_node_index(p), _node_index(q)))
         if p == q:
             raise UsageError(f"pairwise term must reference two distinct nodes, got ({p}, {q})")
         if (p, q) in out:
@@ -98,11 +108,13 @@ class StructuralFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructuralFunction":
-        return cls(
-            obj.get("intercept", 0.0),
-            {int(k): v for k, v in obj.get("linear", {}).items()},
-            [(int(p), int(q), float(c)) for p, q, c in obj.get("pairwise", [])],
-        )
+        try:
+            return cls(obj.get("intercept", 0.0), obj.get("linear", {}),
+                       obj.get("pairwise", []))
+        except UsageError:
+            raise
+        except (TypeError, ValueError) as exc:  # e.g. a pairwise entry of two values
+            raise UsageError(f"malformed structural function JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -271,9 +283,8 @@ def parse_targets(spec, n: int) -> frozenset:
             return frozenset(range(n))
         spec = text.split(",")
     try:
-        # operator.index rejects 1.5 where int() would truncate it
-        targets = frozenset(int(t) if isinstance(t, str) else operator.index(t) for t in spec)
-    except (TypeError, ValueError) as exc:
+        targets = frozenset(map(_node_index, spec))
+    except TypeError as exc:  # spec is not iterable
         raise UsageError(f"targets must be integer node indices: {exc}") from exc
     if targets and (min(targets) < 0 or max(targets) >= n):
         raise UsageError(f"target out of range for n={n}")
@@ -347,6 +358,45 @@ def true_ace_oracle(anm: ConfoundedAnm, w_targets, w_values, m_mc: int = 100_000
     y = ds.y()
     se = float(y.std(ddof=1) / np.sqrt(m_mc)) if m_mc > 1 else 0.0
     return AceEstimate(float(y.mean()), se)
+
+
+def true_ace_exact(anm: ConfoundedAnm, w_targets, w_values) -> AceEstimate:
+    """Exact E[Y | do(w_targets = w_values)] for a model whose treatment
+    equations are linear (as ``random_anm`` builds them); stderr is 0.
+
+    Under the intervention each treatment is its mean plus a fixed linear
+    map of the centered noise, so the treatments are jointly Gaussian with
+    covariance L Sigma_U L^T, and for the outcome's pairwise terms
+    E[X_p X_q] = mu_p mu_q + Cov(X_p, X_q). Raises UsageError for a
+    treatment equation with pairwise terms: use ``true_ace_oracle`` there.
+    """
+    n = anm.n
+    targets = parse_targets(w_targets, n)
+    w_values = np.asarray(w_values, dtype=float).reshape(-1)
+    if len(w_values) != len(targets):
+        raise UsageError("value count does not match target count")
+    if not np.all(np.isfinite(w_values)):
+        raise UsageError("intervention values must be finite")
+    for i, fn in enumerate(anm.f):
+        if fn.pairwise:
+            raise UsageError(f"f_{i} has pairwise terms; the exact oracle needs linear "
+                             "treatment equations")
+    pinned = dict(zip(sorted(targets), w_values))
+    mu = np.zeros(n)
+    load = np.zeros((n, n + 1))  # X_i - mu_i = load[i] @ (U - E[U])
+    for i in anm.topo():
+        if i in pinned:
+            mu[i] = pinned[i]
+            continue
+        mu[i] = anm.f[i].intercept + anm.noise.mean[i]
+        load[i, i] = 1.0
+        for p, c in anm.f[i].linear:
+            mu[i] += c * mu[p]
+            load[i] += c * load[p]
+    cov = load @ anm.noise.cov @ load.T
+    value = anm.f_y.evaluate(mu)[0] + anm.noise.mean[n]
+    value += sum(c * cov[p, q] for p, q, c in anm.f_y.pairwise)
+    return AceEstimate(float(value), 0.0)
 
 
 def _random_coeff(rng: np.random.Generator) -> float:

@@ -231,6 +231,22 @@ def test_check_rejects_out_of_range_targets(tmp_path, capsys):
     assert out == "" and "out of range" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj["outcome_function"].update(pairwise=[[0.5, 1.9, 1.0]]),
+    lambda obj: obj["functions"][1].update(linear={"1.0": 0.3}),
+])
+def test_sample_rejects_non_integer_function_indices(edit, tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    save_anm(random_anm(Dag(2, {(0, 1)}), seed=3), anm)
+    obj = json.loads(anm.read_text())
+    edit(obj)
+    anm.write_text(json.dumps(obj))
+    code, out, err = run(["sample", "--anm", str(anm), "--seed", "1",
+                          "--out", str(tmp_path / "ds.csv")], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "integer" in err
+
+
 @pytest.fixture
 def model_path(tmp_path):
     anm = random_anm(Dag(2, {(0, 1)}), seed=3)

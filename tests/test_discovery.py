@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canm.discovery import (
-    _strict_order_edges,
+    _strict_order_bits,
     check_sufficiency,
     core_intervention_plan,
     intervention_budget,
@@ -19,7 +19,15 @@ from canm.discovery import (
 from canm.errors import UsageError
 from canm.estimation import fit_model
 from canm.fixtures import fig_g1, fig_g2, fig_g3
-from canm.graph import Dag, random_dag, shd, transitive_closure
+from canm.graph import (
+    Dag,
+    bit_edges,
+    random_dag,
+    reduction_bits,
+    shd,
+    transitive_closure,
+    transitive_reduction,
+)
 from canm.independence import data_ci_test, oracle_ci_test
 from canm.scm import LazyDataset, anm_sampler, random_anm
 from canm.setsys import strongly_separating
@@ -103,13 +111,29 @@ def assert_same_datasets(got, want):
         assert np.array_equal(a.data, b.data)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+# raw dependence edges as a test run may report them: cycles and self-pairs
+raw_edge_sets = st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                        max_size=3 * n))))
+                        max_size=3 * n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw_edge_sets)
 def test_strict_order_edges_matches_reference(case):
     n, raw = case
-    assert _strict_order_edges(n, raw) == frozenset(reference_strict_order(n, raw))
+    assert set(bit_edges(_strict_order_bits(n, raw))) == reference_strict_order(n, raw)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw_edge_sets)
+def test_reduction_of_strict_order_rows_matches_transitive_reduction(case):
+    """The discovery loop reduces the strict order's rows without building a
+    Dag; the edges, in the order the cycle guard walks them, are those of
+    graph.transitive_reduction on the strict order as a Dag."""
+    n, raw = case
+    order = _strict_order_bits(n, raw)
+    edges = bit_edges(reduction_bits(order))
+    assert edges == sorted(transitive_reduction(Dag(n, frozenset(bit_edges(order)))).edges)
 
 
 class TestLazyRegimes:
@@ -308,6 +332,12 @@ class TestSufficiency:
         rep = check_sufficiency(fig_g3(), [frozenset()])
         assert not rep.sufficient
         assert not rep.has_joint
+
+    @pytest.mark.parametrize("bad, match", [([0.5], "integer"), ([5], "out of range")])
+    def test_entries_must_be_node_indices(self, bad, match):
+        # [0.5] used to read as [0] and make this list sufficient
+        with pytest.raises(UsageError, match=match):
+            check_sufficiency(Dag(2, {(0, 1)}), [[], [0, 1], bad])
 
     def test_report_invariant(self):
         rng = np.random.default_rng(18)

@@ -1,4 +1,6 @@
-"""Simulator behavior: interventional sampling, moments, and the oracle."""
+"""Simulator behavior: interventional sampling, moments, and the oracles."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from canm.scm import (
     random_anm,
     sample,
     save_dataset,
+    true_ace_exact,
     true_ace_oracle,
 )
 
@@ -120,6 +123,71 @@ class TestOracle:
         est = true_ace_oracle(anm, "all", x, 200_000, seed=18)
         expected = float(anm.f_y.evaluate(np.array([x]))[0]) + anm.noise.mean[3]
         assert abs(est.value - expected) <= 3.0 * est.stderr
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("pair, slopes", [(linear_pair_a, (3.0, 2.0)),
+                                              (linear_pair_b, (5.0, 4.0))])
+    def test_linear_pairs_closed_form(self, pair, slopes):
+        for anm, slope in zip(pair(), slopes):
+            for x1 in (-1.0, 0.5, 2.0):
+                est = true_ace_exact(anm, {0}, [x1])
+                assert est.stderr == 0.0
+                assert abs(est.value - slope * x1) <= 1e-12
+
+    def test_product_outcome_pair_closed_form(self):
+        # E[X1*X2 | do(X1=1)] = E[X2 | do(X1=1)]
+        for anm, want in zip(product_outcome_pair(), (1.0, 1.2)):
+            assert abs(true_ace_exact(anm, {0}, [1.0]).value - want) <= 1e-12
+
+    def test_agrees_with_mc_oracle_on_every_query_subset(self):
+        for seed in range(6):
+            anm = random_anm(random_dag(4, 3, seed=40 + seed), seed=50 + seed,
+                             pairwise_prob_y=0.5)
+            point = np.random.default_rng(seed).standard_normal(4)
+            for r in range(5):
+                for s in itertools.combinations(range(4), r):
+                    exact = true_ace_exact(anm, s, point[list(s)])
+                    mc = true_ace_oracle(anm, s, point[list(s)], 50_000, seed=60 + seed)
+                    assert abs(exact.value - mc.value) <= 4.0 * mc.stderr, (seed, s)
+
+    def test_rejects_pairwise_treatment_equation(self):
+        g = Dag(3, {(0, 2), (1, 2)})
+        fns = (StructuralFunction(), StructuralFunction(),
+               StructuralFunction(0.0, {0: 1.0}, {(0, 1): 0.5}))
+        anm = ConfoundedAnm(g, fns, StructuralFunction(0.0, {2: 1.0}),
+                            NoiseSpec(np.zeros(4), np.eye(4)))
+        with pytest.raises(UsageError, match="pairwise"):
+            true_ace_exact(anm, {0}, [1.0])
+        assert np.isfinite(true_ace_oracle(anm, {0}, [1.0], 100, seed=0).value)
+
+    @pytest.mark.parametrize("targets, values", [
+        ({0}, [1.0, 2.0]), ({0, 1}, [1.0]), ({0}, [np.nan]), ({0, 1}, [1.0, np.inf]),
+        ({0.5}, [1.0]), ({2}, [1.0]),
+    ])
+    def test_rejects_bad_queries(self, targets, values):
+        m1, _ = linear_pair_a()
+        with pytest.raises(UsageError):
+            true_ace_exact(m1, targets, values)
+
+
+class TestNodeIndices:
+    @pytest.mark.parametrize("obj", [
+        {"pairwise": [[0.5, 1.9, 1.0]]},
+        {"linear": {"1.0": 0.3}},
+        {"linear": {"x": 0.3}},
+        {"pairwise": [[0, 1]]},
+    ])
+    def test_malformed_function_json_is_usage_error(self, obj):
+        with pytest.raises(UsageError):
+            StructuralFunction.from_json(obj)
+
+    def test_integer_indices_accepted(self):
+        fn = StructuralFunction(0.0, {np.int64(1): 0.3}, [(np.int64(0), 2, 1.0)])
+        assert fn == StructuralFunction.from_json({"linear": {"1": 0.3},
+                                                   "pairwise": [[2, 0, 1.0]]})
+        with pytest.raises(UsageError, match="integer"):
+            StructuralFunction(0.0, {1.5: 0.3})
 
 
 class TestCounterexamplePair:
