@@ -4,8 +4,12 @@ Two layers: learning the transitive closure from a strongly separating set
 system (one dependence test per intervened/free pair per set), and the outer
 randomized loop that repeatedly intervenes on a random subset, takes the
 transitive reduction of the post-interventional closure, and unions the
-recovered edges. The outer loop also accumulates every interventional
-dataset it draws, because the same draws double as the estimation inputs.
+recovered edges. The loop chooses every intervention before it sees a test
+result, so ``plan_discovery`` lists all its regimes up front; the tests of
+each iteration are independent of every other's and, for a run large
+enough to pay for the fork, run in forked workers (``util.fork_map``); only
+the fold over iterations is sequential. Every planned regime is kept as a
+dataset handle, because the same draws double as the estimation inputs.
 
 Also here: the direct intervention plan read off a known graph and the
 sufficiency predicate that decides whether a collection of intervention
@@ -17,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .errors import UsageError
 from .graph import Dag, bit_edges, bit_nodes, closure_bits, reduction_bits
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
-from .util import derive_seed
+from .util import derive_seed, fork_map, fork_workers
 
 
 @dataclass(frozen=True)
@@ -66,36 +71,98 @@ def _strict_order_bits(n: int, raw_edges) -> list:
     return [reach[a] & ~back[a] for a in range(n)]
 
 
-def _regime(sampler, lazy, n, targets, m, seed, *key):
-    """The dataset of one regime, seeded by derive_seed(seed, *key): drawn
-    now, or, for a test that reads no data, a handle that draws it with the
-    same seed on first read."""
-    if lazy:
-        return LazyDataset(n, targets, m, lambda: sampler(targets, m, derive_seed(seed, *key)))
-    return sampler(targets, m, derive_seed(seed, *key))
+class Regime(NamedTuple):
+    """One planned intervention of a discovery run.
+
+    ``key`` is the path its draw is seeded by: derive_seed is applied once
+    per tuple of parts, starting from the run's seed; its first part names
+    the regime ("obs", "closure" for a separating set plus the iteration's
+    context, "context" or "joint"). ``iteration`` is -1 outside the
+    randomized loop. ``randomized`` is the separating set the dependence
+    test pairs with each free node (``_pairs``), empty for a regime no test
+    reads. The pairs themselves are built only when tested: held for every
+    regime of a plan, their tens of thousands of tuples made the garbage
+    collector run full passes during discovery.
+    """
+
+    targets: frozenset
+    key: tuple
+    iteration: int
+    randomized: frozenset = frozenset()
 
 
-def _closure_with_data(sampler, test, n, m_per_int, seed, context=frozenset()):
-    context = frozenset(context)
-    lazy = not getattr(test, "needs_data", True)
-    system = strongly_separating(n) if n > 1 else ()
-    raw = set()
-    datasets = []
-    free_all = set(range(n)) - context
+def _pairs(n: int, regime: Regime) -> list:
+    """The (randomized, free) pairs the dependence test reads a regime for."""
+    targets = regime.targets
+    free = [b for b in range(n) if b not in targets]
+    return [(a, b) for a in sorted(regime.randomized) for b in free]
+
+
+def _separating_regimes(n: int, context: frozenset, key: tuple, t: int) -> list:
+    regimes = []
+    for idx, s in enumerate(strongly_separating(n) if n > 1 else ()):
+        targets = s | context
+        randomized = s if len(targets) < n else frozenset()  # no free node, no pair
+        regimes.append(Regime(targets, key + (("int", idx),), t, randomized))
+    return regimes
+
+
+def plan_discovery(n: int, d_max: int, alpha: float = 3.0, seed: int = 0) -> tuple:
+    """Every regime ``learn_observable_graph`` uses, in the order of its
+    ``collected``: the observational regime; per iteration t the separating
+    regimes, each with the random subset S_t as context, then do(S_t); and
+    the joint regime.
+
+    The randomized algorithm chooses every intervention before it sees a
+    test result, so the plan depends on (n, d_max, alpha, seed) alone.
+    """
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    if d_max < 2:
+        raise UsageError("d_max must be >= 2")
+    if alpha < 1:
+        raise UsageError("alpha must be >= 1")
+    plan = [Regime(frozenset(), (("obs",),), -1)]
+    include_prob = 1.0 - 1.0 / d_max
+    outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n))) if n > 1 else 0
+    for t in range(outer):
+        rng = np.random.default_rng(derive_seed(seed, "subset", t))
+        s = frozenset(i for i in range(n) if rng.random() < include_prob)
+        plan.extend(_separating_regimes(n, s, (("closure", t),), t))
+        plan.append(Regime(s, (("context", t),), t))
+    plan.append(Regime(frozenset(range(n)), (("joint",),), -1))
+    return tuple(plan)
+
+
+def intervention_budget(n: int, d_max: int, alpha: float) -> int:
+    """Exact ceiling on interventions_used for learn_observable_graph: every
+    planned regime but the observational one."""
+    return len(plan_discovery(n, d_max, alpha)) - 1
+
+
+def _draw(sampler, m: int, seed: int, regime: Regime):
+    for parts in regime.key:
+        seed = derive_seed(seed, *parts)
+    return sampler(regime.targets, m, seed)
+
+
+def _handle(sampler, n: int, m: int, seed: int, regime: Regime) -> LazyDataset:
+    return LazyDataset(n, regime.targets, m, lambda: _draw(sampler, m, seed, regime))
+
+
+def _raw_edges(sampler, test, n: int, m: int, seed: int, entries, fresh: bool) -> list:
+    """The pairs the test finds dependent over (regime, handle) entries. The
+    test reads the handle, which keeps what it draws, or with ``fresh`` (in
+    a worker, whose copy of the handle dies with it) a draw dropped once
+    tested. A test that reads only targets makes the handle draw nothing."""
     batch = getattr(test, "batch", None)
-    for idx, s in enumerate(system):
-        ds = _regime(sampler, lazy, n, frozenset(s) | context, m_per_int, seed, "int", idx)
-        datasets.append(ds)
-        free = sorted(free_all - s)
-        pairs = [(a, b) for a in sorted(s) for b in free]
-        if not pairs:
-            continue
-        if batch is not None:
-            verdicts = batch(ds, pairs)
-        else:
-            verdicts = [test(ds, a, b) for a, b in pairs]
-        raw.update(p for p, dep in zip(pairs, verdicts) if dep)
-    return _strict_order_bits(n, raw), datasets
+    raw = []
+    for regime, handle in entries:
+        ds = _draw(sampler, m, seed, regime) if fresh else handle
+        pairs = _pairs(n, regime)
+        verdicts = batch(ds, pairs) if batch is not None else [test(ds, a, b) for a, b in pairs]
+        raw.extend(p for p, dep in zip(pairs, verdicts) if dep)
+    return raw
 
 
 def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
@@ -110,8 +177,10 @@ def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    order, _ = _closure_with_data(sampler, test, n, m_per_int, seed)
-    return Dag(n, frozenset(bit_edges(order)))
+    entries = [(r, _handle(sampler, n, m_per_int, seed, r))
+               for r in _separating_regimes(n, frozenset(), (), 0) if r.randomized]
+    raw = _raw_edges(sampler, test, n, m_per_int, seed, entries, fresh=False)
+    return Dag(n, frozenset(bit_edges(_strict_order_bits(n, raw))))
 
 
 def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0,
@@ -119,61 +188,53 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     """Learn the treatment graph and accumulate the datasets needed for
     effect estimation.
 
-    Runs ceil(4 * alpha * d_max * log2 n) iterations. Each iteration draws a
-    random target set S by independent inclusion with probability 1 - 1/d_max,
-    learns the closure of the post-interventional graph, and unions the edges
-    of its transitive reduction into the answer. Every dataset drawn along the
-    way is kept, plus one do(S) dataset per iteration, the observational
-    dataset, and the joint intervention on all treatments. When the test
-    reads no data (``test.needs_data`` is false) every kept dataset is a
-    ``LazyDataset`` that draws its rows, with the same seed, on first read.
+    Runs the regimes of ``plan_discovery``: ceil(4 * alpha * d_max * log2 n)
+    iterations, each intervening on a random target set S (independent
+    inclusion with probability 1 - 1/d_max), learning the closure of the
+    post-interventional graph from the separating regimes, and unioning the
+    edges of its transitive reduction into the answer. Every planned regime
+    is kept in ``collected``: the separating ones, one do(S) per iteration,
+    the observational and the joint regime.
+
+    Every entry of ``collected`` is a ``LazyDataset`` that draws its rows,
+    with the planned seed, on first read. A test that reads data
+    (``test.needs_data`` true or absent) reads the regimes it tests. When
+    they hold at least ``util.FORK_MIN_WORK`` numbers, it does so on Linux
+    in forked worker processes, one per usable CPU with BLAS at one thread
+    (``util.fork_map``), from fresh draws that the handles do not keep;
+    otherwise it runs here and the handles keep what it drew. The fold
+    over the iterations stays sequential, so the result does not depend on
+    the worker count. A test that reads only targets runs here and draws
+    nothing.
     """
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    if d_max < 2:
-        raise UsageError("d_max must be >= 2")
-    if alpha < 1:
-        raise UsageError("alpha must be >= 1")
-    lazy = not getattr(test, "needs_data", True)
-    collected = [_regime(sampler, lazy, n, frozenset(), m_per_int, seed, "obs")]
-    interventions = 0
-    include_prob = 1.0 - 1.0 / d_max
-    outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n))) if n > 1 else 0
+    plan = plan_discovery(n, d_max, alpha, seed)
+    collected = tuple(_handle(sampler, n, m_per_int, seed, r) for r in plan)
+    rounds: dict = {}  # iteration -> indices of its tested regimes
+    for k, regime in enumerate(plan):
+        if regime.randomized:
+            rounds.setdefault(regime.iteration, []).append(k)
+    workers = 0
+    if getattr(test, "needs_data", True):
+        tested = sum(map(len, rounds.values()))
+        workers = fork_workers(len(rounds), tested * m_per_int * (n + 1))
+
+    def round_edges(ks):
+        return _raw_edges(sampler, test, n, m_per_int, seed,
+                          [(plan[k], collected[k]) for k in ks], fresh=workers > 0)
+
+    raws = fork_map(round_edges, rounds.values(), workers)
     edges: set = set()
     # reachability of the union edge set; used to refuse edges a statistical
     # test run would otherwise turn into a cycle (exact tests never trigger
     # the guard)
     reach = [0] * n
-
-    for t in range(outer):
-        rng = np.random.default_rng(derive_seed(seed, "subset", t))
-        s = frozenset(int(i) for i in range(n) if rng.random() < include_prob)
-        order, inner = _closure_with_data(
-            sampler, test, n, m_per_int, derive_seed(seed, "closure", t), context=s
-        )
-        collected.extend(inner)
-        interventions += len(inner)
-        for a, b in bit_edges(reduction_bits(order)):
+    for raw in raws:
+        for a, b in bit_edges(reduction_bits(_strict_order_bits(n, raw))):
             if (a, b) in edges or reach[b] >> a & 1:
                 continue
             edges.add((a, b))
             reach = closure_bits(n, edges)
-        collected.append(_regime(sampler, lazy, n, s, m_per_int, seed, "context", t))
-        interventions += 1
-
-    collected.append(_regime(sampler, lazy, n, frozenset(range(n)), m_per_int, seed, "joint"))
-    interventions += 1
-    return DiscoveryResult(Dag(n, frozenset(edges)), tuple(collected), interventions)
-
-
-def intervention_budget(n: int, d_max: int, alpha: float) -> int:
-    """Exact ceiling on interventions_used for learn_observable_graph:
-    per-iteration separating draws plus the do(S) draw, plus the joint."""
-    if n <= 1:
-        return 1
-    outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n)))
-    inner = len(strongly_separating(n))
-    return outer * (inner + 1) + 1
+    return DiscoveryResult(Dag(n, frozenset(edges)), collected, len(plan) - 1)
 
 
 def core_intervention_plan(g: Dag, independent_flags=None) -> tuple:
@@ -235,12 +296,20 @@ def check_sufficiency(g: Dag, targets_list, independent_flags=None) -> Sufficien
 
 
 def save_discovery_result(res: DiscoveryResult, out_dir) -> None:
+    """graph.json, report.json and datasets/<k>.csv (with sidecars) for the
+    k-th collected dataset. When they hold at least ``util.FORK_MIN_WORK``
+    numbers, the datasets are drawn and written by ``util.fork_map``
+    workers, each its own share."""
     os.makedirs(out_dir, exist_ok=True)
     res.learned_graph.save(os.path.join(out_dir, "graph.json"))
     ds_dir = os.path.join(out_dir, "datasets")
     os.makedirs(ds_dir, exist_ok=True)
-    for k, ds in enumerate(res.collected):
-        save_dataset(ds, os.path.join(ds_dir, f"{k}.csv"))
+
+    def write(k):
+        save_dataset(res.collected[k], os.path.join(ds_dir, f"{k}.csv"))
+
+    work = sum(ds.m * (ds.n + 1) for ds in res.collected)
+    fork_map(write, range(len(res.collected)), fork_workers(len(res.collected), work))
     report = {
         "interventions_used": int(res.interventions_used),
         "dataset_count": len(res.collected),

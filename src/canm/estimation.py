@@ -410,7 +410,7 @@ def ace(model: EstimatedModel, q: AceQuery, m_mc: int = 100_000, seed: int = 0) 
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((m_mc, len(marg))) @ chol_factor(sigma_oo).T
 
-    x = np.zeros((m_mc, model.n))
+    x = np.zeros((m_mc, model.n), order="F")  # column-major for the equations' reads
     for k, v in q.intervened:
         x[:, k] = v
     order = [v for v in topological_order(model.graph) if v in set(marg)]

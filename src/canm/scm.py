@@ -90,13 +90,17 @@ class StructuralFunction:
         return frozenset(nodes)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on a full treatment matrix of shape (m, n_treatments)."""
+        """Evaluate on a full treatment matrix of shape (m, n_treatments),
+        term by term in the normalized order, in place in one work buffer.
+        Column reads are fastest on a column-major x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.full(x.shape[0], self.intercept)
+        work = np.empty_like(out)
         for p, c in self.linear:
-            out = out + c * x[:, p]
+            out += np.multiply(x[:, p], c, out=work)
         for p, q, c in self.pairwise:
-            out = out + c * x[:, p] * x[:, q]
+            np.multiply(x[:, p], c, out=work)
+            out += np.multiply(work, x[:, q], out=work)
         return out
 
     def to_json(self) -> dict:
@@ -291,19 +295,31 @@ def parse_targets(spec, n: int) -> frozenset:
     return targets
 
 
+def _policy_numbers(policy: str, prefix: str) -> list:
+    try:
+        values = [float(tok) for tok in policy[len(prefix):].split(",") if tok != ""]
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        raise UsageError(f"value policy {policy!r} needs comma-separated finite numbers")
+    return values
+
+
 def _policy_values(policy: str, targets_sorted, m: int, rng: np.random.Generator) -> np.ndarray:
     if policy == "std_normal":
         return rng.standard_normal((m, len(targets_sorted)))
     if policy.startswith("fixed:"):
-        vals = [float(tok) for tok in policy[len("fixed:"):].split(",") if tok != ""]
+        vals = _policy_numbers(policy, "fixed:")
         if len(vals) != len(targets_sorted):
             raise UsageError(
                 f"fixed policy supplies {len(vals)} values for {len(targets_sorted)} targets"
             )
         return np.tile(np.asarray(vals, dtype=float), (m, 1))
     if policy.startswith("uniform:"):
-        lo, hi = (float(tok) for tok in policy[len("uniform:"):].split(","))
-        return rng.uniform(lo, hi, size=(m, len(targets_sorted)))
+        bounds = _policy_numbers(policy, "uniform:")
+        if len(bounds) != 2 or not bounds[0] < bounds[1]:
+            raise UsageError(f"uniform policy needs two bounds lo < hi, got {policy!r}")
+        return rng.uniform(*bounds, size=(m, len(targets_sorted)))
     raise UsageError(f"unknown value policy {policy!r}")
 
 
@@ -323,7 +339,7 @@ def sample(anm: ConfoundedAnm, targets, value_policy: str = "std_normal",
     u = sample_mvn(rng, anm.noise.mean, anm.noise.factor(), m)
     tsort = sorted(targets)
     drawn = _policy_values(value_policy, tsort, m, rng)
-    vals = np.zeros((m, n + 1))
+    vals = np.zeros((m, n + 1), order="F")  # column-major while evaluating
     col = {t: k for k, t in enumerate(tsort)}
     for node in anm.topo():
         if node in targets:
@@ -331,7 +347,7 @@ def sample(anm: ConfoundedAnm, targets, value_policy: str = "std_normal",
         else:
             vals[:, node] = anm.f[node].evaluate(vals[:, :n]) + u[:, node]
     vals[:, n] = anm.f_y.evaluate(vals[:, :n]) + u[:, n]
-    return InterventionalDataset(targets, value_policy, vals, seed)
+    return InterventionalDataset(targets, value_policy, np.ascontiguousarray(vals), seed)
 
 
 def anm_sampler(anm: ConfoundedAnm, value_policy: str = "std_normal"):

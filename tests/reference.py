@@ -76,3 +76,18 @@ def dataset_csv_text(ds) -> str:
     for row in ds.data:
         lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def structural_function_values(fn, x):
+    """``fn`` on the treatment matrix x with a fresh array per term: the
+    formula ``scm.StructuralFunction.evaluate`` replaced with an in-place
+    one, kept to check it bit for bit."""
+    import numpy as np
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.full(x.shape[0], fn.intercept)
+    for p, c in fn.linear:
+        out = out + c * x[:, p]
+    for p, q, c in fn.pairwise:
+        out = out + c * x[:, p] * x[:, q]
+    return out

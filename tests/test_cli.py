@@ -10,7 +10,15 @@ from canm.discovery import core_intervention_plan
 from canm.estimation import fit_model, save_model
 from canm.fixtures import fig_g1
 from canm.graph import Dag
-from canm.scm import load_dataset, random_anm, sample, save_anm
+from canm.scm import (
+    ConfoundedAnm,
+    NoiseSpec,
+    StructuralFunction,
+    load_dataset,
+    random_anm,
+    sample,
+    save_anm,
+)
 
 
 def run(argv, capsys):
@@ -380,3 +388,38 @@ def test_fit_from_dir_checks_every_dataset_before_parsing(disc_dir, capsys):
     (disc / "datasets" / "5.csv").unlink()
     assert run(argv, capsys)[0] == 5
     assert parsed == []
+
+
+@pytest.mark.parametrize("policy", ["uniform:1", "uniform:a,b", "fixed:x", "uniform:2,1",
+                                    "uniform:0,inf"])
+def test_malformed_policy_is_usage_error(policy, tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    save_anm(random_anm(Dag(2, {(0, 1)}), seed=3), anm)
+    code, out, err = run(["sample", "--anm", str(anm), "--targets", "0", "--policy", policy,
+                          "--samples", "20", "--seed", "4", "--out",
+                          str(tmp_path / "ds.csv")], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "policy" in err
+
+
+def constant_root_anm() -> ConfoundedAnm:
+    """X1 -> X2 plus a root X3 = 0.5 + U3 with sd(U3) = 1e-20, which
+    rounds away: X3 is constant in every regime that leaves it free."""
+    cov = [[1.0, 0.3, 0.0, 0.2], [0.3, 1.0, 0.0, 0.1], [0.0, 0.0, 1e-40, 0.0],
+           [0.2, 0.1, 0.0, 1.0]]
+    return ConfoundedAnm(
+        Dag(3, {(0, 1)}),
+        (StructuralFunction(), StructuralFunction(0.0, {0: 0.8}), StructuralFunction(0.5)),
+        StructuralFunction(0.0, {0: 1.0, 1: 1.0, 2: 1.0}),
+        NoiseSpec([0.0] * 4, cov),
+    )
+
+
+def test_discover_constant_column_in_worker_exits_two(tmp_path, capsys, forking):
+    anm = tmp_path / "anm.json"
+    save_anm(constant_root_anm(), anm)
+    code, out, err = run(["discover", "--anm", str(anm), "--test", "pearson", "--alpha", "1",
+                          "--samples", "50", "--seed", "5", "--out", str(tmp_path / "d")],
+                         capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "constant input vector" in err

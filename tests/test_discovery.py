@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canm.discovery import (
+    _pairs,
     _strict_order_bits,
     check_sufficiency,
     core_intervention_plan,
@@ -14,6 +15,7 @@ from canm.discovery import (
     learn_observable_graph,
     learn_transitive_closure,
     load_discovery_result,
+    plan_discovery,
     save_discovery_result,
 )
 from canm.errors import UsageError
@@ -29,7 +31,8 @@ from canm.graph import (
     transitive_reduction,
 )
 from canm.independence import data_ci_test, oracle_ci_test
-from canm.scm import LazyDataset, anm_sampler, random_anm
+from canm import util
+from canm.scm import InterventionalDataset, LazyDataset, anm_sampler, random_anm, sample
 from canm.setsys import strongly_separating
 from canm.util import derive_seed
 
@@ -137,7 +140,8 @@ def test_reduction_of_strict_order_rows_matches_transitive_reduction(case):
 
 
 class TestLazyRegimes:
-    def test_oracle_discovery_draws_only_when_read(self):
+    def test_oracle_discovery_draws_only_when_read(self, monkeypatch):
+        monkeypatch.setattr(util, "usable_cpus", lambda: 1)
         g = random_dag(8, 3, seed=30)
         anm = random_anm(g, seed=31)
         oracle = oracle_ci_test(anm.graph)
@@ -145,11 +149,16 @@ class TestLazyRegimes:
         res = learn_observable_graph(draw, oracle, 8, 3, 2.0, 25, seed=32)
         assert calls == []
         assert all(isinstance(ds, LazyDataset) and ds.m == 25 for ds in res.collected)
-        # a test without needs_data is assumed to read data: eager draws
+        # a test without needs_data is assumed to read data: run inline, it
+        # reads the handles of the regimes it tests, which keep their draws,
+        # and every kept dataset is still a handle
         eager_draw, eager_calls = counting(anm_sampler(anm))
-        eager = learn_observable_graph(eager_draw, lambda ds, a, b: oracle(ds, a, b),
-                                       8, 3, 2.0, 25, seed=32)
-        assert len(eager_calls) == len(eager.collected)
+        eager = learn_observable_graph(
+            eager_draw, lambda ds, a, b: len(ds.data) == 25 and oracle(ds, a, b),
+            8, 3, 2.0, 25, seed=32)
+        tested = sum(bool(r.randomized) for r in plan_discovery(8, 3, 2.0, seed=32))
+        assert 0 < len(eager_calls) == tested < len(eager.collected)
+        assert all(isinstance(ds, LazyDataset) and ds.m == 25 for ds in eager.collected)
         assert res.learned_graph == eager.learned_graph
         assert res.interventions_used == eager.interventions_used
         assert [ds.targets for ds in res.collected] == [ds.targets for ds in eager.collected]
@@ -181,8 +190,82 @@ class TestLazyRegimes:
         graph, collected = reference_observable_graph(anm_sampler(anm), test, 6, 3, 1.0,
                                                       200, seed=36)
         assert res.learned_graph == graph
-        assert not any(isinstance(ds, LazyDataset) for ds in res.collected)
+        assert all(isinstance(ds, LazyDataset) for ds in res.collected)
         assert_same_datasets(res.collected, collected)
+
+
+def saved_files(out_dir) -> dict:
+    return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("level", [1e-3, 0.3])
+    def test_results_do_not_depend_on_worker_count(self, level, tmp_path, forking,
+                                                   monkeypatch):
+        anm = random_anm(random_dag(6, 3, seed=40), seed=41)
+        runs, parent_draws = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            draw, calls = counting(anm_sampler(anm))
+            test = data_ci_test("pearson", level=level, seed=42)
+            runs[cpus] = res = learn_observable_graph(draw, test, 6, 3, 1.0, 120, seed=43)
+            save_discovery_result(res, tmp_path / str(cpus))
+            parent_draws[cpus] = len(calls)
+        one, two = runs[1], runs[2]
+        # inline, each regime is drawn here once, tested or saved; with two
+        # workers nothing is
+        assert parent_draws[1] == len(one.collected) and parent_draws[2] == 0
+        assert one.learned_graph == two.learned_graph
+        assert one.interventions_used == two.interventions_used
+        assert_same_datasets(one.collected, two.collected)
+        assert saved_files(tmp_path / "1") == saved_files(tmp_path / "2")
+        assert len(saved_files(tmp_path / "1")) == 2 * len(one.collected) + 2
+
+    def test_usage_error_in_a_worker_keeps_its_class(self, forking):
+        anm = random_anm(Dag(3, {(0, 1)}), seed=44)
+
+        def constant_x3(targets, m, seed):
+            ds = sample(anm, targets, "std_normal", m, seed)
+            data = ds.data.copy()
+            if 2 not in ds.targets:
+                data[:, 2] = 0.5
+            return InterventionalDataset(ds.targets, ds.value_policy, data, ds.seed)
+
+        with pytest.raises(UsageError, match="constant input vector") as info:
+            learn_observable_graph(constant_x3, data_ci_test("pearson", seed=45), 3, 2, 1.0,
+                                   50, seed=46)
+        # the cause carries the worker's traceback
+        assert "constant input vector" in str(info.value.__cause__)
+        assert "_raw_edges" in str(info.value.__cause__)
+
+
+class TestPlan:
+    def test_plan_lists_the_collected_regimes(self):
+        g = random_dag(8, 3, seed=30)
+        sampler, test = oracle_setup(g, 31)
+        plan = plan_discovery(8, 3, 2.0, seed=32)
+        res = learn_observable_graph(sampler, test, 8, 3, 2.0, 25, seed=32)
+        assert [r.targets for r in plan] == [ds.targets for ds in res.collected]
+        assert intervention_budget(8, 3, 2.0) == res.interventions_used == len(plan) - 1
+        outer = math.ceil(4 * 2.0 * 3 * math.log2(8))
+        system = strongly_separating(8)
+        assert [r.key[0][0] for r in plan] == (
+            ["obs"] + (["closure"] * len(system) + ["context"]) * outer + ["joint"])
+        for r in plan:
+            if r.key[0][0] == "closure":
+                context = plan[(r.iteration + 1) * (len(system) + 1)].targets
+                sep = system.sets[r.key[-1][1]]
+                assert r.targets == sep | context
+                pairs = [(a, b) for a in sorted(sep) for b in range(8) if b not in r.targets]
+                assert _pairs(8, r) == pairs
+                assert r.randomized == (sep if pairs else frozenset())
+            else:
+                assert r.randomized == frozenset() and _pairs(8, r) == []
+
+    @pytest.mark.parametrize("args", [(0, 3, 1.0), (4, 1, 1.0), (4, 3, 0.5)])
+    def test_plan_rejects_bad_parameters(self, args):
+        with pytest.raises(UsageError):
+            plan_discovery(*args)
 
 
 class TestClosureLearning:
