@@ -120,8 +120,8 @@ def plan_discovery(n: int, d_max: int, alpha: float = 3.0, seed: int = 0) -> tup
         raise UsageError("n must be >= 1")
     if d_max < 2:
         raise UsageError("d_max must be >= 2")
-    if alpha < 1:
-        raise UsageError("alpha must be >= 1")
+    if not 1 <= alpha < math.inf:
+        raise UsageError(f"alpha must be a finite number >= 1, got {alpha}")
     plan = [Regime(frozenset(), (("obs",),), -1)]
     include_prob = 1.0 - 1.0 / d_max
     outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n))) if n > 1 else 0

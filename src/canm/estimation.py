@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .discovery import SufficiencyReport, check_sufficiency
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError
@@ -106,6 +105,9 @@ class KnnEquation:
     def _tree(self):
         cached = getattr(self, "_tree_cache", None)
         if cached is None:
+            # imported here so only k-NN runs pay for scipy.spatial
+            from scipy.spatial import cKDTree
+
             cached = cKDTree((self.train_x - self.center) / self.scale)
             object.__setattr__(self, "_tree_cache", cached)
         return cached

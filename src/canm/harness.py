@@ -241,7 +241,8 @@ def _fit_for_rep(cfg: ExperimentConfig, anm, true_g: Dag, m: int, seed: int):
     if cfg.discover_first:
         res = learn_observable_graph(
             anm_sampler(anm), _make_test(cfg, anm, derive_seed(seed, "test")),
-            true_g.n, max(2, true_g.max_degree()), max(3.0, cfg.alpha), m,
+            # alpha first: max keeps a NaN there for plan_discovery to reject
+            true_g.n, max(2, true_g.max_degree()), max(cfg.alpha, 3.0), m,
             derive_seed(seed, "alg"),
         )
         return estimation.fit_model(res.learned_graph, res.collected,

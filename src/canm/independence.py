@@ -5,13 +5,22 @@ and Pearson correlation with a t-test) plus an exact graphical oracle used
 for validation. The oracle exploits that a randomized variable can only
 influence another variable along directed paths out of it once its incoming
 edges are cut, so dependence reduces to reachability.
+
+The scalar Pearson test and the per-dataset Pearson batch share one p-value
+kernel, ``_pearson_p_value``, on Student's t distribution function
+``scipy.special.stdtr``. ``scipy.special`` is the only SciPy module this
+package loads at import.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+# Imported at module level, not lazily: pearson_batch runs in forked workers
+# and every fork_map call starts a fresh pool, so a lazy import would be paid
+# again in each worker of each call (about 0.3 s). Imported before the fork,
+# it is shared by every worker.
+from scipy import special
 
 from .errors import UsageError
 from .graph import Dag, closure_bits
@@ -53,6 +62,19 @@ def _validate_pair(xs: np.ndarray, ys: np.ndarray) -> None:
         raise UsageError("constant input vector")
 
 
+def _pearson_p_value(r, df: int):
+    """Two-sided t-test p-value of the correlation(s) ``r`` over ``df``
+    degrees of freedom. ``1 - r**2`` is clipped at 1e-15, so a perfect
+    correlation gives a finite t. Works on a float or an array."""
+    t = np.abs(r) * np.sqrt(df / np.clip(1.0 - r * r, 1e-15, None))
+    return 2.0 * special.stdtr(df, -t)
+
+
+def _check_level(level) -> None:
+    if not 0.0 < level < 1.0:
+        raise UsageError(f"level must lie strictly between 0 and 1, got {level}")
+
+
 def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVEL,
                       permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0) -> IndependenceVerdict:
     """Test marginal dependence of two samples.
@@ -61,15 +83,13 @@ def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVE
     p-value and detects arbitrary nonlinear dependence; ``pearson`` is the
     fast linear-model backend. Deterministic for a fixed seed.
     """
+    _check_level(level)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     _validate_pair(xs, ys)
     if method == "pearson":
         r = float(np.corrcoef(xs, ys)[0, 1])
-        df = len(xs) - 2
-        r2 = min(r * r, 1.0 - 1e-15)
-        t = abs(r) * np.sqrt(df / (1.0 - r2))
-        p = float(2.0 * stats.t.sf(t, df))
+        p = float(_pearson_p_value(r, len(xs) - 2))
         return IndependenceVerdict(p < level, r, p)
     if method == "dcorr":
         rng = np.random.default_rng(seed)
@@ -118,6 +138,7 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
     """Dependence test evaluated on dataset columns. The per-query seed is
     derived from (seed, dataset seed, pair) so results do not depend on the
     order queries are issued in."""
+    _check_level(level)
 
     def test(ds, a: int, b: int) -> bool:
         verdict = test_independence(
@@ -141,10 +162,7 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
         idx = {c: k for k, c in enumerate(cols)}
         r = np.array([gram[idx[a], idx[b]] / (norms[idx[a]] * norms[idx[b]])
                       for a, b in pairs])
-        df = m - 2
-        t = np.abs(r) * np.sqrt(df / np.clip(1.0 - r * r, 1e-15, None))
-        p = 2.0 * special.stdtr(df, -t)
-        return [bool(v) for v in p < level]
+        return [bool(v) for v in _pearson_p_value(r, m - 2) < level]
 
     test.needs_data = True
     if method == "pearson":

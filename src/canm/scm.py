@@ -429,6 +429,8 @@ def random_anm(graph: Dag, seed: int = 0, pairwise_prob_y: float = 0.0,
     covariance has unit diagonal and dense correlations scaled by
     ``noise_correlation``.
     """
+    if not 0.0 <= pairwise_prob_y <= 1.0:
+        raise UsageError(f"pairwise_prob_y must lie in [0, 1], got {pairwise_prob_y}")
     n = graph.n
     rng = np.random.default_rng(seed)
     pa = graph.parent_sets()

@@ -71,9 +71,10 @@ _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_th
                  "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 # Least work, in numbers drawn or written over all items, that fork_workers
-# forks for: a pool of forked workers takes about 35 ms to start and stop,
-# and two workers win that back from about half a million numbers drawn
-# (n=8, m=300 Pearson discovery breaks even; n=5 loses, n=12 gains).
+# forks for: a pool of two forked workers takes about 20 ms to start and stop
+# (2-core Xeon, canm and its CLI loaded), and two workers win that back from
+# about half a million numbers drawn (n=8, m=300 Pearson discovery breaks
+# even; n=5 loses, n=12 gains).
 FORK_MIN_WORK = 500_000
 
 # (fn, items) inside a fork_map worker; None in every other process.

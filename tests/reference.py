@@ -91,3 +91,18 @@ def structural_function_values(fn, x):
     for p, q, c in fn.pairwise:
         out = out + c * x[:, p] * x[:, q]
     return out
+
+
+def pearson_scalar_p_value(xs, ys) -> float:
+    """The scalar Pearson t-test p-value through ``scipy.stats.t.sf``: the
+    formula ``independence.test_independence`` used before both Pearson
+    paths moved to one ``scipy.special.stdtr`` kernel, kept to check that
+    kernel bit for bit."""
+    import numpy as np
+    from scipy import stats
+
+    r = float(np.corrcoef(xs, ys)[0, 1])
+    df = len(xs) - 2
+    r2 = min(r * r, 1.0 - 1e-15)
+    t = abs(r) * np.sqrt(df / (1.0 - r2))
+    return float(2.0 * stats.t.sf(t, df))

@@ -423,3 +423,27 @@ def test_discover_constant_column_in_worker_exits_two(tmp_path, capsys, forking)
                          capsys)
     assert code == 2
     assert out == "" and err.count("\n") == 1 and "constant input vector" in err
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["discover", "--alpha", "nan"], "alpha"),
+    (["discover", "--alpha", "inf"], "alpha"),
+    (["discover", "--test", "pearson", "--level", "nan"], "level"),
+    (["discover", "--test", "pearson", "--level", "7"], "level"),
+    (["discover", "--test", "pearson", "--level", "0"], "level"),
+    (["discover", "--test", "pearson", "--level", "1"], "level"),
+    (["gen-scm", "--pairwise-prob", "nan"], "pairwise_prob"),
+    (["gen-scm", "--pairwise-prob", "2"], "pairwise_prob"),
+    (["gen-scm", "--pairwise-prob", "-0.5"], "pairwise_prob"),
+])
+def test_out_of_range_parameter_is_usage_error(argv, word, tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    save_anm(random_anm(Dag(3, {(0, 1)}), seed=3), anm)
+    if argv[0] == "discover":
+        argv = argv + ["--anm", str(anm), "--samples", "50"]
+    else:
+        argv = argv + ["--n", "3"]
+    code, out, err = run(argv + ["--seed", "4", "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and word in err
+    assert not (tmp_path / "out").exists()

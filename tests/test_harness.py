@@ -24,6 +24,21 @@ class TestConfig:
         with pytest.raises(UsageError):
             ExperimentConfig(kind="mae", sample_sizes=(300, 300))
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("discovery-n", "level", float("nan")),
+        ("discovery-n", "level", 1.0),
+        ("discovery-n", "alpha", float("inf")),
+        ("mae", "alpha", float("nan")),  # discover_first raises alpha to at least 3
+        ("mae", "pairwise_prob_y", 1.5),
+    ])
+    def test_out_of_range_parameters_rejected(self, kind, field, value, tmp_path):
+        cfg = ExperimentConfig(kind=kind, replications=1, n=3, n_values=(3,),
+                               sample_sizes=(50,), discover_first=True,
+                               out_dir=str(tmp_path), **{field: value})
+        run = run_discovery_experiment if kind == "discovery-n" else run_mae_experiment
+        with pytest.raises(UsageError, match=field):
+            run(cfg)
+
     def test_hash_ignores_out_dir(self):
         a = ExperimentConfig(kind="sufficiency", out_dir="x", seed=1)
         b = ExperimentConfig(kind="sufficiency", out_dir="y", seed=1)

@@ -1,5 +1,6 @@
 """Property tests: seed derivation, the JSON/CSV persistence round-trips,
-sufficiency monotonicity and in-place structural-function evaluation."""
+sufficiency monotonicity, in-place structural-function evaluation and the
+Pearson p-value kernel."""
 import json
 import os
 import tempfile
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +16,7 @@ from canm import scm
 from canm.discovery import check_sufficiency, core_intervention_plan
 from canm.estimation import fit_model, model_from_json, model_to_json
 from canm.graph import Dag, random_dag
+from canm.independence import test_independence as run_test
 from canm.scm import (
     InterventionalDataset,
     StructuralFunction,
@@ -27,7 +29,7 @@ from canm.scm import (
 )
 from canm.util import derive_seed
 
-from reference import dataset_csv_text, structural_function_values
+from reference import dataset_csv_text, pearson_scalar_p_value, structural_function_values
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -207,3 +209,31 @@ def test_in_place_evaluate_matches_fresh_array_formula(case):
     assert np.array_equal(got, want, equal_nan=True)
     assert got.tobytes() == want.tobytes()
     assert fn.evaluate(x[0]).tobytes() == want[:1].tobytes()
+
+
+@st.composite
+def correlated_pairs(draw):
+    """xs and ys = c * xs + noise: |r| from 0 to within a few ulps of 1."""
+    m = draw(st.integers(20, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 30)))
+    xs = rng.standard_normal(m) * draw(st.sampled_from([1.0, 1e-100, 1e100]))
+    noise = rng.standard_normal(m) * np.std(xs)
+    coupling = draw(st.one_of(st.floats(-0.4, 0.4), st.floats(-3.0, 3.0),
+                              st.sampled_from([-1e8, 1e5, 3e7, 1e9])))
+    return xs, coupling * xs + noise
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(correlated_pairs())
+@example((np.arange(20.0), np.arange(20.0) ** 3))
+def test_scalar_pearson_p_value_matches_scipy_stats(pair):
+    """The scalar Pearson p-value on the shared ``special.stdtr`` kernel
+    equals the old ``stats.t.sf`` formula bit for bit wherever r**2 is
+    below the 1 - 1e-15 clip, and the statistic is still corrcoef's r."""
+    xs, ys = pair
+    r = float(np.corrcoef(xs, ys)[0, 1])
+    assume(r * r < 1.0 - 1e-15)
+    verdict = run_test(xs, ys, method="pearson")
+    assert verdict.statistic == r
+    want = pearson_scalar_p_value(xs, ys)
+    assert np.float64(verdict.p_value).tobytes() == np.float64(want).tobytes()
