@@ -29,7 +29,7 @@ from .errors import UsageError
 from .graph import Dag, bit_edges, bit_nodes, closure_bits, reduction_bits
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
-from .util import derive_seed, fork_map, fork_workers
+from .util import derive_seed, fork_map, fork_workers, in_worker
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,9 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     they hold at least ``util.FORK_MIN_WORK`` numbers, it does so on Linux
     in forked worker processes, one per usable CPU with BLAS at one thread
     (``util.fork_map``), from fresh draws that the handles do not keep;
-    otherwise it runs here and the handles keep what it drew. The fold
+    otherwise it runs here and the handles keep what it drew, except in a
+    ``fork_map`` worker (a harness replication), where it tests fresh
+    draws too, so a nested run never holds its plan's data. The fold
     over the iterations stays sequential, so the result does not depend on
     the worker count. A test that reads only targets runs here and draws
     nothing.
@@ -213,14 +215,16 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     for k, regime in enumerate(plan):
         if regime.randomized:
             rounds.setdefault(regime.iteration, []).append(k)
-    workers = 0
+    workers, fresh = 0, False
     if getattr(test, "needs_data", True):
         tested = sum(map(len, rounds.values()))
         workers = fork_workers(len(rounds), tested * m_per_int * (n + 1))
+        # a worker's handles die with it, and so do those of a run nested in one
+        fresh = workers > 0 or in_worker()
 
     def round_edges(ks):
         return _raw_edges(sampler, test, n, m_per_int, seed,
-                          [(plan[k], collected[k]) for k in ks], fresh=workers > 0)
+                          [(plan[k], collected[k]) for k in ks], fresh=fresh)
 
     raws = fork_map(round_edges, rounds.values(), workers)
     edges: set = set()

@@ -5,26 +5,35 @@ error across query subsets, and the semi-synthetic network study.
 Every experiment is a deterministic fold over replications whose seeds are
 derived from the master seed, so reruns with the same config produce
 byte-identical CSV output. Each CSV carries one comment line with the config
-hash and seed.
+hash and seed. The discovery experiments hand their replications, and the
+mae experiment its ``ace`` calls, to one ``util.fork_map`` per experiment;
+the fold over what comes back stays in item order, so the output does not
+depend on the worker count.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import estimation, healthcare
-from .discovery import check_sufficiency, core_intervention_plan, learn_observable_graph
+from .discovery import (
+    check_sufficiency,
+    core_intervention_plan,
+    intervention_budget,
+    learn_observable_graph,
+)
 from .errors import IdentifiabilityError, UsageError
 from .graph import Dag, random_dag, shd
 from .independence import data_ci_test, oracle_ci_test
 from .scm import anm_sampler, random_anm, sample, true_ace_exact
 from .svg import svg_line_chart
-from .util import derive_seed
+from .util import derive_seed, fork_map, fork_workers
 
 EXPERIMENT_KINDS = (
     "discovery-n",
@@ -33,6 +42,43 @@ EXPERIMENT_KINDS = (
     "mae",
     "healthcare",
 )
+
+
+def _integer(value):
+    if isinstance(value, bool):
+        raise TypeError
+    return operator.index(value)
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    return value
+
+
+def _of_type(kind):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError
+        return value
+    return check
+
+
+def _integers(value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError
+    return tuple(map(_integer, value))
+
+
+# Per annotated field type: the check that returns the stored value or
+# raises TypeError, and what the error message asks for.
+_FIELD_TYPES = {
+    "int": (_integer, "an integer"),
+    "float": (_number, "a number"),
+    "bool": (_of_type(bool), "true or false"),
+    "str": (_of_type(str), "a string"),
+    "tuple": (_integers, "a list of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,8 +107,14 @@ class ExperimentConfig:
     svg: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(self, "sample_sizes", tuple(int(v) for v in self.sample_sizes))
+        for f in fields(self):
+            check, wanted = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, check(value))
+            except TypeError:
+                raise UsageError(f"config field {f.name} must be {wanted}, "
+                                 f"got {value!r}") from None
         if self.kind not in EXPERIMENT_KINDS:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
         if self.replications < 1:
@@ -107,36 +159,46 @@ def _make_test(cfg: ExperimentConfig, anm, rep_seed: int):
     return data_ci_test(cfg.test, cfg.level, cfg.permutations, rep_seed)
 
 
-def _discovery_cell(cfg: ExperimentConfig, n: int, m: int):
-    """Mean and sd of graph error over replications for one (n, m) cell."""
-    errors = []
-    for rep in range(cfg.replications):
-        seed = derive_seed(cfg.seed, "disc", n, m, rep)
-        true_g = random_dag(n, cfg.d_max, seed=derive_seed(seed, "g"))
-        anm = random_anm(true_g, derive_seed(seed, "anm"))
-        res = learn_observable_graph(
-            anm_sampler(anm), _make_test(cfg, anm, derive_seed(seed, "test")),
-            n, cfg.d_max, cfg.alpha, m, derive_seed(seed, "alg"),
-        )
-        errors.append(shd(res.learned_graph, true_g))
-    arr = np.asarray(errors, dtype=float)
-    sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return float(arr.mean()), sd
+def _discovery_shd(cfg: ExperimentConfig, item) -> int:
+    """Graph error of replication rep in the (n, m) cell."""
+    n, m, rep = item
+    seed = derive_seed(cfg.seed, "disc", n, m, rep)
+    true_g = random_dag(n, cfg.d_max, seed=derive_seed(seed, "g"))
+    anm = random_anm(true_g, derive_seed(seed, "anm"))
+    res = learn_observable_graph(
+        anm_sampler(anm), _make_test(cfg, anm, derive_seed(seed, "test")),
+        n, cfg.d_max, cfg.alpha, m, derive_seed(seed, "alg"),
+    )
+    return shd(res.learned_graph, true_g)
 
 
 def run_discovery_experiment(cfg: ExperimentConfig) -> str:
     """Graph error sweep: over n at fixed samples (kind discovery-n) or over
-    sample sizes at fixed n (kind discovery-samples)."""
+    sample sizes at fixed n (kind discovery-samples).
+
+    Every replication of every cell is one ``fork_map`` item. The work of a
+    data test is the numbers its planned regimes hold; an exact oracle
+    draws nothing, so an oracle sweep, like a run of one replication in
+    one cell, runs here."""
     if cfg.kind == "discovery-n":
         grid = [(n, cfg.sample_sizes[0]) for n in cfg.n_values]
     elif cfg.kind == "discovery-samples":
         grid = [(cfg.n, m) for m in cfg.sample_sizes]
     else:
         raise UsageError(f"not a discovery experiment: {cfg.kind}")
+    reps = cfg.replications
+    work = 0
+    if cfg.test != "oracle":
+        work = sum(reps * (intervention_budget(n, cfg.d_max, cfg.alpha) + 1) * m * (n + 1)
+                   for n, m in grid)
+    items = [(n, m, rep) for n, m in grid for rep in range(reps)]
+    errors = fork_map(lambda item: _discovery_shd(cfg, item), items,
+                      fork_workers(len(items), work))
     rows = []
-    for n, m in grid:
-        mean, sd = _discovery_cell(cfg, n, m)
-        rows.append((n, m, mean, sd, cfg.replications))
+    for k, (n, m) in enumerate(grid):
+        arr = np.asarray(errors[k * reps:(k + 1) * reps], dtype=float)
+        sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+        rows.append((n, m, float(arr.mean()), sd, reps))
     text = _csv(cfg, ["n", "samples", "mean_shd", "sd_shd", "replications"], rows)
     path = _write(cfg, f"{cfg.kind}.csv", text)
     if cfg.svg:
@@ -196,13 +258,15 @@ def run_mae_experiment(cfg: ExperimentConfig) -> tuple:
     (or from a discovery run when discover_first is set) and every
     E[Y|do(W)] is compared against its exact value (``scm.true_ace_exact``:
     ``random_anm`` builds linear treatment equations). Identifiability
-    failures are counted, never swallowed.
+    failures are counted, never swallowed. Every model is fitted here; the
+    ``ace`` calls of the whole experiment go to one ``util.fork_map``.
     """
     n = cfg.n
     subsets = [frozenset(c) for r in range(n + 1)
                for c in itertools.combinations(range(n), r)]
     sums = {(m, s): 0.0 for m in cfg.sample_sizes for s in subsets}
     gate_failures = 0
+    scored, calls = [], []  # per ace call: (m, subset, exact value), (model, query, MC seed)
     for rep in range(cfg.replications):
         seed = derive_seed(cfg.seed, "mae", rep)
         true_g = random_dag(n, cfg.d_max, seed=derive_seed(seed, "g"))
@@ -218,10 +282,18 @@ def run_mae_experiment(cfg: ExperimentConfig) -> tuple:
                 gate_failures += 1
                 continue
             for s in subsets:
-                q = estimation.AceQuery(n, {i: point[i] for i in sorted(s)})
-                est = estimation.ace(model, q, cfg.mc_draws,
-                                     derive_seed(seed, "mc", m, sorted(s)))
-                sums[(m, s)] += abs(est.value - truth[s])
+                scored.append((m, s, truth[s]))
+                calls.append((model, estimation.AceQuery(n, {i: point[i] for i in sorted(s)}),
+                              derive_seed(seed, "mc", m, sorted(s))))
+
+    def estimate(call):
+        model, q, mc_seed = call
+        return estimation.ace(model, q, cfg.mc_draws, mc_seed).value
+
+    values = fork_map(estimate, calls,
+                      fork_workers(len(calls), len(calls) * cfg.mc_draws * (n + 1)))
+    for (m, s, exact), value in zip(scored, values):
+        sums[(m, s)] += abs(value - exact)
     rows = [
         (m, _query_label(s, n), sums[(m, s)] / cfg.replications, gate_failures)
         for m in cfg.sample_sizes

@@ -74,7 +74,11 @@ _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_th
 # forks for: a pool of two forked workers takes about 20 ms to start and stop
 # (2-core Xeon, canm and its CLI loaded), and two workers win that back from
 # about half a million numbers drawn (n=8, m=300 Pearson discovery breaks
-# even; n=5 loses, n=12 gains).
+# even; n=5 loses, n=12 gains). Its callers: the tested regimes of one
+# data-test discovery (discovery.learn_observable_graph), the datasets of
+# discovery.save_discovery_result, the replications of a data-test
+# discovery experiment and the Monte-Carlo rows of a mae experiment's ace
+# calls (harness).
 FORK_MIN_WORK = 500_000
 
 # (fn, items) inside a fork_map worker; None in every other process.
@@ -113,6 +117,11 @@ def _blas_thread_setters() -> tuple:
     return tuple(setters)
 
 
+def in_worker() -> bool:
+    """Whether this process is a fork_map worker."""
+    return _JOB is not None
+
+
 def _start_worker(job, setters) -> None:
     global _JOB
     _JOB = job
@@ -133,7 +142,7 @@ def fork_workers(count: int, work: int) -> int:
     live Python thread (forking it would copy held locks), a caller that is
     itself a worker, or no OpenBLAS thread setter to call."""
     workers = min(usable_cpus(), count)
-    if (workers < 2 or work < FORK_MIN_WORK or _JOB is not None
+    if (workers < 2 or work < FORK_MIN_WORK or in_worker()
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()
             or not _blas_thread_setters()):

@@ -220,6 +220,18 @@ def test_wrong_typed_config_value_is_usage_error(argv, cfg, tmp_path, capsys):
     assert out == "" and "invalid" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, cfg", [
+    ("discovery-n", {"replications": "2"}),
+    ("mae", {"alpha": "nan", "discover_first": True}),
+])
+def test_wrong_typed_experiment_config_is_usage_error(kind, cfg, tmp_path, capsys):
+    code, out, err = run(["experiment", "--seed", "1", "--kind", kind, "--out",
+                          str(tmp_path / "o"), "--config", _write_cfg(tmp_path, cfg)], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and next(iter(cfg)) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sample_rejects_non_integer_targets(tmp_path, capsys):
     anm = tmp_path / "anm.json"
     run(["gen-scm", "--n", "2", "--seed", "1", "--out", str(anm)], capsys)

@@ -221,6 +221,24 @@ class TestWorkerCount:
         assert saved_files(tmp_path / "1") == saved_files(tmp_path / "2")
         assert len(saved_files(tmp_path / "1")) == 2 * len(one.collected) + 2
 
+    def test_discovery_nested_in_a_worker_keeps_no_draw(self, forking, monkeypatch):
+        anm = random_anm(random_dag(6, 3, seed=40), seed=41)
+
+        def discover(_):
+            test = data_ci_test("pearson", level=1e-3, seed=42)
+            res = learn_observable_graph(anm_sampler(anm), test, 6, 3, 1.0, 120, seed=43)
+            return res.learned_graph, [ds._ds is None for ds in res.collected]
+
+        monkeypatch.setattr(util, "usable_cpus", lambda: 1)
+        inline_graph, inline_undrawn = discover(None)
+        # inline, the tested handles keep their draws
+        assert not all(inline_undrawn)
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        nested = util.fork_map(discover, range(2), util.fork_workers(2, 0))
+        for graph, undrawn in nested:
+            assert graph == inline_graph
+            assert len(undrawn) == len(inline_undrawn) and all(undrawn)
+
     def test_usage_error_in_a_worker_keeps_its_class(self, forking):
         anm = random_anm(Dag(3, {(0, 1)}), seed=44)
 

@@ -1,8 +1,10 @@
 """Experiment drivers and the bundled mixed network."""
+import os
+
 import numpy as np
 import pytest
 
-from canm import harness, scm
+from canm import estimation, harness, scm, util
 from canm.errors import UsageError
 from canm.estimation import identifiable
 from canm.harness import (
@@ -38,6 +40,30 @@ class TestConfig:
         run = run_discovery_experiment if kind == "discovery-n" else run_mae_experiment
         with pytest.raises(UsageError, match=field):
             run(cfg)
+
+    @pytest.mark.parametrize("field,value,wanted", [
+        ("replications", "2", "integer"),
+        ("seed", 1.5, "integer"),
+        ("n", True, "integer"),
+        ("alpha", "nan", "number"),
+        ("level", None, "number"),
+        ("discover_first", 1, "true or false"),
+        ("test", 3, "string"),
+        ("sample_sizes", [300.0], "list of integers"),
+        ("n_values", "35", "list of integers"),
+    ])
+    def test_wrong_field_type_rejected(self, field, value, wanted):
+        with pytest.raises(UsageError, match=f"config field {field} must be .*{wanted}"):
+            ExperimentConfig(kind="mae", **{field: value})
+
+    def test_hash_unchanged_by_the_type_checks(self):
+        # values computed before fields were type-checked
+        assert ExperimentConfig(kind="mae").hash() == "6d6f9d289d6f"
+        cfg = ExperimentConfig(kind="discovery-n", sample_sizes=[300, 1000], n_values=[3, 5],
+                               alpha=1, level=0.01, discover_first=True)
+        assert cfg.sample_sizes == (300, 1000) and cfg.n_values == (3, 5)
+        assert cfg.hash() == "0595f9d184ee"
+        assert ExperimentConfig(kind="mae", sample_sizes=[np.int64(300)]).sample_sizes == (300,)
 
     def test_hash_ignores_out_dir(self):
         a = ExperimentConfig(kind="sufficiency", out_dir="x", seed=1)
@@ -231,3 +257,53 @@ class TestHealthcareExperiment:
         path, rows = run_healthcare_experiment(cfg)
         assert len(rows) == 16
         assert all(np.isfinite(r[2]) for r in rows)
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call made in this
+    process; calls made in forked workers land in the workers' copies."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestWorkerCount:
+    CONFIGS = (
+        dict(kind="mae", replications=2, n=3, d_max=2, sample_sizes=(200, 400),
+             mc_draws=2000),
+        dict(kind="discovery-n", replications=2, n_values=(3, 4), d_max=2, alpha=1.0,
+             sample_sizes=(60,), test="pearson", level=1e-3),
+    )
+
+    def test_results_do_not_depend_on_worker_count(self, tmp_path, forking, monkeypatch):
+        ace_calls = counting(monkeypatch, estimation, "ace")
+        discoveries = counting(monkeypatch, harness, "learn_observable_graph")
+        files, parent_calls = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            ace_calls.clear()
+            discoveries.clear()
+            for config in self.CONFIGS:
+                cfg = ExperimentConfig(seed=17, out_dir=str(tmp_path / str(cpus)), **config)
+                path = harness.run_experiment(cfg)
+                files[cpus, cfg.kind] = open(path, "rb").read()
+            parent_calls[cpus] = len(ace_calls), len(discoveries)
+        for config in self.CONFIGS:
+            assert files[1, config["kind"]] == files[2, config["kind"]]
+        # inline, every ace call and every replication runs here; with two
+        # workers none does
+        assert parent_calls[1] == (2 * 2 * 8, 2 * 2)
+        assert parent_calls[2] == (0, 0)
+
+    def test_usage_error_in_a_replication_keeps_its_class(self, tmp_path, forking):
+        cfg = ExperimentConfig(seed=18, out_dir=str(tmp_path), **dict(
+            self.CONFIGS[1], level=float("nan")))
+        with pytest.raises(UsageError, match="level") as info:
+            run_discovery_experiment(cfg)
+        # raised in a worker: the cause carries the worker's traceback
+        assert "_discovery_shd" in str(info.value.__cause__)
