@@ -20,7 +20,7 @@ import numpy as np
 from .discovery import SufficiencyReport, check_sufficiency
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError
 from .graph import Dag, topological_order
-from .scm import AceEstimate, InterventionalDataset, StructuralFunction
+from .scm import AceEstimate, InterventionalDataset, StructuralFunction, _node_index
 from .util import chol_factor, repair_psd
 
 OUTCOME = "y"
@@ -132,7 +132,7 @@ class KnnEquation:
 
 
 def _equation_from_json(obj: dict):
-    parents = frozenset(obj["parents"])
+    parents = frozenset(map(_node_index, obj["parents"]))
     if obj["kind"] == "basis":
         return FittedEquation(obj["node"], parents, StructuralFunction.from_json(obj["form"]))
     if obj["kind"] == "knn":
@@ -435,18 +435,55 @@ def model_to_json(model: EstimatedModel) -> dict:
     }
 
 
+def _check_equation(eq, node, parents) -> None:
+    """A loaded equation is for ``node``, over exactly the ``parents`` the
+    model's graph gives it, and reads no other column."""
+    where = f"equation for node {node!r}"
+    if type(eq.node) is not type(node) or eq.node != node:
+        raise UsageError(f"{where}: found node {eq.node!r} in its place "
+                         f"(equations are listed in node order)")
+    if eq.parents != parents:
+        raise UsageError(f"{where}: parents {sorted(eq.parents)} do not match "
+                         f"the graph's {sorted(parents)}")
+    if isinstance(eq, FittedEquation):
+        stray = eq.form.referenced() - parents
+        if stray:
+            raise UsageError(f"{where}: terms reference non-parents {sorted(stray)}")
+        return
+    m, p = eq.train_y.size, len(parents)
+    if (eq.k < 1 or m < 1 or eq.train_y.shape != (m,) or eq.train_x.shape != (m, p)
+            or eq.center.shape != (p,) or eq.scale.shape != (p,)):
+        raise UsageError(f"{where}: k-NN arrays have inconsistent shapes")
+
+
 def model_from_json(obj: dict) -> EstimatedModel:
+    """Read a model saved by ``model_to_json``. Raises UsageError unless the
+    equations are listed in node order, each over exactly its graph parents
+    (the outcome over all treatments) with terms on those alone and k-NN
+    arrays of matching shapes, and ``sigma_hat`` is finite. The covariance
+    is still repaired on construction (``EstimatedModel``)."""
     try:
-        return EstimatedModel(
-            Dag.from_json(obj["graph"]),
-            tuple(_equation_from_json(e) for e in obj["equations"]),
-            _equation_from_json(obj["outcome_equation"]),
-            np.asarray(obj["sigma_hat"], dtype=float),
-            tuple(frozenset(s) for s in obj["fitted_from"]),
-            tuple(bool(v) for v in obj.get("independent_flags", [])),
-        )
+        graph = Dag.from_json(obj["graph"])
+        eqs = tuple(_equation_from_json(e) for e in obj["equations"])
+        eq_y = _equation_from_json(obj["outcome_equation"])
+        sigma = np.asarray(obj["sigma_hat"], dtype=float)
+        fitted_from = tuple(frozenset(s) for s in obj["fitted_from"])
+        flags = tuple(bool(v) for v in obj.get("independent_flags", []))
     except KeyError as exc:
         raise UsageError(f"malformed model JSON: missing {exc}") from exc
+    except UsageError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. a ragged sigma_hat
+        raise UsageError(f"malformed model JSON: {exc}") from exc
+    if len(eqs) != graph.n:
+        raise UsageError(f"graph has {graph.n} treatments but the model lists "
+                         f"{len(eqs)} equations")
+    for i, parents in enumerate(graph.parent_sets()):
+        _check_equation(eqs[i], i, parents)
+    _check_equation(eq_y, OUTCOME, frozenset(range(graph.n)))
+    if not np.all(np.isfinite(sigma)):
+        raise UsageError("sigma_hat must be finite")
+    return EstimatedModel(graph, eqs, eq_y, sigma, fitted_from, flags)
 
 
 def save_model(model: EstimatedModel, path) -> None:

@@ -81,6 +81,20 @@ _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_th
 # calls (harness).
 FORK_MIN_WORK = 500_000
 
+# glibc mallopt parameters (malloc.h) and the values each fork_map worker
+# sets. By default glibc serves a block above its mmap threshold (128 KiB,
+# raised only as such blocks are freed) from a fresh mapping and hands a
+# freed heap top beyond the trim threshold back to the OS, so a worker
+# faults in fresh zeroed pages for its temporaries on every call. The
+# largest per-call arrays are about 1.6 MB: the 50,000 x 4 float64 draws of
+# one ace call (a pearson_batch block or an n=20, m=1000 sample is smaller).
+# 32 MiB, the most glibc's dynamic threshold can reach on a 64-bit host,
+# keeps every such array on the heap with room to spare; 64 MiB for the trim
+# threshold keeps glibc's own rule of twice the mmap threshold, so freed
+# pages stay mapped for the next call.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_WORKER_MALLOC = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
 # (fn, items) inside a fork_map worker; None in every other process.
 _JOB = None
 
@@ -117,16 +131,45 @@ def _blas_thread_setters() -> tuple:
     return tuple(setters)
 
 
+@functools.cache
+def _libc():
+    """The C library linked into this process (the global symbol namespace)."""
+    return ctypes.CDLL(None)
+
+
+def _mallopt():
+    """glibc's ``mallopt``, or None where the C library has none. Looking it
+    up does not call it, so the calling process's allocator is untouched."""
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_pages(mallopt) -> bool:
+    """Set the worker allocator thresholds (``_WORKER_MALLOC``) in order,
+    stopping at the first one mallopt refuses (it returns 1 on success).
+    Whether every setting took."""
+    return all(mallopt(param, value) == 1 for param, value in _WORKER_MALLOC)
+
+
 def in_worker() -> bool:
     """Whether this process is a fork_map worker."""
     return _JOB is not None
 
 
-def _start_worker(job, setters) -> None:
+def _start_worker(job, setters, mallopt) -> None:
+    """Initialize a fork_map worker: record its job, pin OpenBLAS to one
+    thread, and let it keep its freed heap pages (``_WORKER_MALLOC``), which
+    changes no result. Only workers do this: the calling process belongs to
+    the user. Where the C library has no ``mallopt`` the worker keeps its
+    allocator's defaults."""
     global _JOB
     _JOB = job
     for set_threads in setters:
         set_threads(1)
+    if mallopt is not None:
+        _keep_freed_pages(mallopt)
 
 
 def _run_item(index: int):
@@ -155,9 +198,13 @@ def fork_map(fn, items, workers: int) -> list:
     processes (``fork_workers``), or inline when that is below 2.
 
     Each worker sets the loaded OpenBLAS to one thread so workers do not
-    oversubscribe the cores. fn and the items reach the workers through the
-    fork itself, never pickled, so closures work; only item indices and
-    results cross a pipe. Results come back in item order and an exception
+    oversubscribe the cores, and raises glibc's mmap and trim thresholds
+    (``mallopt``) so it reuses freed heap pages for its per-call arrays
+    instead of faulting in fresh ones; where the C library has no
+    ``mallopt`` it keeps the defaults. Neither setting touches the calling
+    process, which is the user's. fn and the items reach the workers
+    through the fork itself, never pickled, so closures work; only item
+    indices and results cross a pipe. Results come back in item order and an exception
     raised in a worker is re-raised here with its class, so the caller sees
     the same outcome as the inline loop. A worker that dies without one (a
     memory kill, a signal) raises ``BrokenProcessPool`` here.
@@ -167,6 +214,6 @@ def fork_map(fn, items, workers: int) -> list:
         return [fn(item) for item in items]
     with concurrent.futures.ProcessPoolExecutor(
             workers, multiprocessing.get_context("fork"), _start_worker,
-            ((fn, items), _blas_thread_setters())) as pool:
+            ((fn, items), _blas_thread_setters(), _mallopt())) as pool:
         chunk = -(-len(items) // (4 * workers))
         return list(pool.map(_run_item, range(len(items)), chunksize=chunk))

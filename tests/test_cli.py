@@ -459,3 +459,67 @@ def test_out_of_range_parameter_is_usage_error(argv, word, tmp_path, capsys):
     assert code == 2
     assert out == "" and err.count("\n") == 1 and word in err
     assert not (tmp_path / "out").exists()
+
+
+def chain_model(tmp_path, regressor):
+    """A 3-node chain model fitted from the core plan and saved as JSON."""
+    anm = random_anm(Dag(3, {(0, 1), (1, 2)}), seed=3)
+    datasets = [sample(anm, s, "std_normal", 300, k) for k, s in
+                enumerate(core_intervention_plan(anm.graph))]
+    path = tmp_path / f"{regressor}.json"
+    save_model(fit_model(anm.graph, datasets, regressor=regressor), path)
+    return path
+
+
+def ace_line(path, capsys):
+    return run(["ace", "--model", str(path), "--targets", "0", "--values", "1.0",
+                "--mc", "1000", "--seed", "4"], capsys)
+
+
+# ace lines of the saved chain models, computed before model JSON was checked
+@pytest.mark.parametrize("regressor,line", [
+    ("basis", "X1,1,0.78925892906320294,0.029189355135515956\n"),
+    ("knn", "X1,1,0.68772122933780755,0.032053527647189106\n"),
+])
+def test_valid_saved_model_gives_the_same_ace_line(regressor, line, tmp_path, capsys):
+    assert ace_line(chain_model(tmp_path, regressor), capsys) == (0, line, "")
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(obj):
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
+# One corruption per case: (regressor, edit of the saved JSON, word in the error).
+CORRUPT_MODELS = {
+    "outcome-term-on-node-9":
+        ("basis", _set("outcome_equation", "form", "linear", "9", 1.0), "non-parents [9]"),
+    "treatment-term-on-non-parent":
+        ("basis", _set("equations", 0, "form", "linear", "2", 1.0), "non-parents [2]"),
+    "nan-in-sigma": ("basis", _set("sigma_hat", 1, 1, float("nan")), "finite"),
+    "equations-out-of-order": ("basis", lambda obj: obj["equations"].reverse(), "node order"),
+    "node-mismatch": ("basis", _set("equations", 1, "node", 2), "node order"),
+    "outcome-node-mismatch": ("basis", _set("outcome_equation", "node", 0), "node order"),
+    "parents-mismatch": ("basis", _set("equations", 2, "parents", [0, 1]), "parents"),
+    "outcome-parents-mismatch": ("basis", _set("outcome_equation", "parents", [0, 1]), "parents"),
+    "missing-equation": ("basis", lambda obj: obj["equations"].pop(), "equations"),
+    "ragged-sigma": ("basis", _set("sigma_hat", 1, [0.0]), "malformed"),
+    "knn-short-train-y": ("knn", lambda obj: obj["equations"][1]["train_y"].pop(), "shapes"),
+    "knn-center-shape": ("knn", _set("equations", 1, "center", []), "shapes"),
+}
+
+
+@pytest.mark.parametrize("regressor,edit,word", CORRUPT_MODELS.values(), ids=CORRUPT_MODELS)
+def test_corrupt_model_json_is_usage_error(regressor, edit, word, tmp_path, capsys):
+    path = chain_model(tmp_path, regressor)
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    code, out, err = ace_line(path, capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and word in err

@@ -1,14 +1,20 @@
 """util.fork_map and util.fork_workers: order, worker processes, BLAS
-pinning, worker failures and the inline fallbacks."""
+pinning, the worker allocator setting, worker failures and the inline
+fallbacks."""
 import os
+import platform
+import resource
 import threading
+import types
 
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from canm import util
+from canm import estimation, scm, util
+from canm.discovery import core_intervention_plan
 from canm.errors import UsageError
+from canm.graph import Dag
 
 
 def square_and_pid(i):
@@ -39,6 +45,73 @@ def test_workers_set_blas_to_one_thread(forking, monkeypatch):
     monkeypatch.setattr(util, "_blas_thread_setters", lambda: (calls.append,))
     assert forked_map(lambda i: list(calls), range(2)) == [[1], [1]]
     assert calls == []
+
+
+def fake_libc(monkeypatch, returns=1):
+    """A C library whose mallopt records its calls and returns ``returns``."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return returns
+
+    monkeypatch.setattr(util, "_libc", lambda: types.SimpleNamespace(mallopt=mallopt))
+    return calls
+
+
+def test_workers_set_malloc_thresholds_and_the_caller_does_not(forking, monkeypatch):
+    calls = fake_libc(monkeypatch)
+    expected = [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert forked_map(lambda i: list(calls), range(2)) == [expected, expected]
+    assert calls == []
+
+
+def test_refused_malloc_setting_stops_the_rest(monkeypatch):
+    calls = fake_libc(monkeypatch, returns=0)
+    assert util._keep_freed_pages(util._mallopt()) is False
+    assert calls == [util._WORKER_MALLOC[0]]
+
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc behaviour")
+
+
+@glibc_only
+def test_glibc_accepts_the_worker_malloc_settings(forking):
+    assert forked_map(lambda i: util._keep_freed_pages(util._mallopt()), range(2)) == [True, True]
+
+
+def ace_model():
+    """A 4-treatment model and a query that marginalizes three of them."""
+    anm = scm.random_anm(Dag(4, {(0, 1), (1, 2), (0, 3)}), seed=5)
+    datasets = [scm.sample(anm, s, "std_normal", 500, k)
+                for k, s in enumerate(core_intervention_plan(anm.graph))]
+    return estimation.fit_model(anm.graph, datasets), estimation.AceQuery(4, {0: 1.0})
+
+
+def ace_faults(model, q, seed):
+    """Minor page faults of one 50,000-row ace call after a warm-up call."""
+    estimation.ace(model, q, 50_000, seed)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    estimation.ace(model, q, 50_000, seed + 1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@glibc_only
+def test_worker_ace_reuses_freed_pages(forking):
+    # glibc's defaults fault about 800 fresh pages into every such call
+    model, q = ace_model()
+    faults = forked_map(lambda seed: ace_faults(model, q, seed), [1, 2])
+    assert all(f < 100 for f in faults), faults
+
+
+def test_workers_without_mallopt_give_the_same_results(forking, monkeypatch):
+    monkeypatch.setattr(util, "_libc", lambda: types.SimpleNamespace())
+    assert util._mallopt() is None
+    model, q = ace_model()
+    inline = [estimation.ace(model, q, 20_000, seed) for seed in (1, 2, 3)]
+    out = forked_map(lambda seed: (estimation.ace(model, q, 20_000, seed), os.getpid()), [1, 2, 3])
+    assert [est for est, _ in out] == inline
+    assert os.getpid() not in {pid for _, pid in out}
 
 
 def test_exception_in_worker_keeps_its_class(forking):
