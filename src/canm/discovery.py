@@ -6,10 +6,10 @@ randomized loop that repeatedly intervenes on a random subset, takes the
 transitive reduction of the post-interventional closure, and unions the
 recovered edges. The loop chooses every intervention before it sees a test
 result, so ``plan_discovery`` lists all its regimes up front; the tests of
-each iteration are independent of every other's and, for a run large
-enough to pay for the fork, run in forked workers (``util.fork_map``); only
-the fold over iterations is sequential. Every planned regime is kept as a
-dataset handle, because the same draws double as the estimation inputs.
+each iteration are independent of every other's and form one
+``util.fork_map`` item; only the fold over iterations is sequential. Every
+planned regime is kept as a dataset handle, because the same draws double
+as the estimation inputs.
 
 Also here: the direct intervention plan read off a known graph and the
 sufficiency predicate that decides whether a collection of intervention
@@ -29,7 +29,7 @@ from .errors import UsageError
 from .graph import Dag, bit_edges, bit_nodes, closure_bits, reduction_bits
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
-from .util import derive_seed, fork_map, fork_workers, in_worker
+from .util import derive_seed, fork_map, in_worker
 
 
 @dataclass(frozen=True)
@@ -150,18 +150,27 @@ def _handle(sampler, n: int, m: int, seed: int, regime: Regime) -> LazyDataset:
     return LazyDataset(n, regime.targets, m, lambda: _draw(sampler, m, seed, regime))
 
 
-def _raw_edges(sampler, test, n: int, m: int, seed: int, entries, fresh: bool) -> list:
-    """The pairs the test finds dependent over (regime, handle) entries. The
-    test reads the handle, which keeps what it draws, or with ``fresh`` (in
-    a worker, whose copy of the handle dies with it) a draw dropped once
-    tested. A test that reads only targets makes the handle draw nothing."""
-    batch = getattr(test, "batch", None)
+def _reads_data(test) -> bool:
+    """``test.needs_data`` of a test that follows the protocol of
+    ``canm.independence``; UsageError for anything else."""
+    if not (hasattr(test, "batch") and hasattr(test, "needs_data")):
+        raise UsageError("a dependence test needs batch(ds, pairs) and needs_data; "
+                         "build it with canm.independence")
+    return test.needs_data
+
+
+def _raw_edges(sampler, test, n: int, m: int, seed: int, entries) -> list:
+    """The pairs the test finds dependent over (regime, handle) entries. A
+    data test reads the handle, which keeps what it draws, or in a
+    ``fork_map`` worker, whose copy of the handle dies with it, a fresh draw
+    dropped once tested. A test that reads only targets makes the handle
+    draw nothing."""
+    fresh = test.needs_data and in_worker()
     raw = []
     for regime, handle in entries:
         ds = _draw(sampler, m, seed, regime) if fresh else handle
         pairs = _pairs(n, regime)
-        verdicts = batch(ds, pairs) if batch is not None else [test(ds, a, b) for a, b in pairs]
-        raw.extend(p for p, dep in zip(pairs, verdicts) if dep)
+        raw.extend(p for p, dep in zip(pairs, test.batch(ds, pairs)) if dep)
     return raw
 
 
@@ -177,9 +186,10 @@ def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
     """
     if n < 1:
         raise UsageError("n must be >= 1")
+    _reads_data(test)  # refuse a test outside the protocol before any draw
     entries = [(r, _handle(sampler, n, m_per_int, seed, r))
                for r in _separating_regimes(n, frozenset(), (), 0) if r.randomized]
-    raw = _raw_edges(sampler, test, n, m_per_int, seed, entries, fresh=False)
+    raw = _raw_edges(sampler, test, n, m_per_int, seed, entries)
     return Dag(n, frozenset(bit_edges(_strict_order_bits(n, raw))))
 
 
@@ -197,16 +207,15 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     the observational and the joint regime.
 
     Every entry of ``collected`` is a ``LazyDataset`` that draws its rows,
-    with the planned seed, on first read. A test that reads data
-    (``test.needs_data`` true or absent) reads the regimes it tests. When
-    they hold at least ``util.FORK_MIN_WORK`` numbers, it does so on Linux
-    in forked worker processes, one per usable CPU with BLAS at one thread
-    (``util.fork_map``), from fresh draws that the handles do not keep;
-    otherwise it runs here and the handles keep what it drew, except in a
-    ``fork_map`` worker (a harness replication), where it tests fresh
-    draws too, so a nested run never holds its plan's data. The fold
-    over the iterations stays sequential, so the result does not depend on
-    the worker count. A test that reads only targets runs here and draws
+    with the planned seed, on first read. The test must follow the protocol
+    of ``canm.independence``. A data test (``test.needs_data``) reads the
+    regimes it tests, one ``util.fork_map`` item per iteration, whose work
+    is the numbers those regimes hold. Run here, the handles keep what it
+    drew; in a ``fork_map`` worker, this run's or an enclosing one's (a
+    harness replication), it tests fresh draws that the handles do not
+    keep, so a worker never holds its plan's data. The fold over the
+    iterations stays sequential, so the result does not depend on the
+    worker count. A test that reads only targets runs here and draws
     nothing.
     """
     plan = plan_discovery(n, d_max, alpha, seed)
@@ -215,18 +224,13 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     for k, regime in enumerate(plan):
         if regime.randomized:
             rounds.setdefault(regime.iteration, []).append(k)
-    workers, fresh = 0, False
-    if getattr(test, "needs_data", True):
-        tested = sum(map(len, rounds.values()))
-        workers = fork_workers(len(rounds), tested * m_per_int * (n + 1))
-        # a worker's handles die with it, and so do those of a run nested in one
-        fresh = workers > 0 or in_worker()
+    work = sum(map(len, rounds.values())) * m_per_int * (n + 1) if _reads_data(test) else 0
 
     def round_edges(ks):
         return _raw_edges(sampler, test, n, m_per_int, seed,
-                          [(plan[k], collected[k]) for k in ks], fresh=fresh)
+                          [(plan[k], collected[k]) for k in ks])
 
-    raws = fork_map(round_edges, rounds.values(), workers)
+    raws = fork_map(round_edges, rounds.values(), work)
     edges: set = set()
     # reachability of the union edge set; used to refuse edges a statistical
     # test run would otherwise turn into a cycle (exact tests never trigger
@@ -301,9 +305,8 @@ def check_sufficiency(g: Dag, targets_list, independent_flags=None) -> Sufficien
 
 def save_discovery_result(res: DiscoveryResult, out_dir) -> None:
     """graph.json, report.json and datasets/<k>.csv (with sidecars) for the
-    k-th collected dataset. When they hold at least ``util.FORK_MIN_WORK``
-    numbers, the datasets are drawn and written by ``util.fork_map``
-    workers, each its own share."""
+    k-th collected dataset, each dataset one ``util.fork_map`` item whose
+    work is the numbers it holds."""
     os.makedirs(out_dir, exist_ok=True)
     res.learned_graph.save(os.path.join(out_dir, "graph.json"))
     ds_dir = os.path.join(out_dir, "datasets")
@@ -312,8 +315,7 @@ def save_discovery_result(res: DiscoveryResult, out_dir) -> None:
     def write(k):
         save_dataset(res.collected[k], os.path.join(ds_dir, f"{k}.csv"))
 
-    work = sum(ds.m * (ds.n + 1) for ds in res.collected)
-    fork_map(write, range(len(res.collected)), fork_workers(len(res.collected), work))
+    fork_map(write, range(len(res.collected)), sum(ds.m * (ds.n + 1) for ds in res.collected))
     report = {
         "interventions_used": int(res.interventions_used),
         "dataset_count": len(res.collected),

@@ -33,7 +33,7 @@ from .graph import Dag, random_dag, shd
 from .independence import data_ci_test, oracle_ci_test
 from .scm import anm_sampler, random_anm, sample, true_ace_exact
 from .svg import svg_line_chart
-from .util import derive_seed, fork_map, fork_workers
+from .util import derive_seed, fork_map
 
 EXPERIMENT_KINDS = (
     "discovery-n",
@@ -176,10 +176,9 @@ def run_discovery_experiment(cfg: ExperimentConfig) -> str:
     """Graph error sweep: over n at fixed samples (kind discovery-n) or over
     sample sizes at fixed n (kind discovery-samples).
 
-    Every replication of every cell is one ``fork_map`` item. The work of a
-    data test is the numbers its planned regimes hold; an exact oracle
-    draws nothing, so an oracle sweep, like a run of one replication in
-    one cell, runs here."""
+    Every replication of every cell is one ``util.fork_map`` item. Its work
+    is the numbers its planned regimes hold for a data test, and none for
+    an exact oracle, which draws nothing."""
     if cfg.kind == "discovery-n":
         grid = [(n, cfg.sample_sizes[0]) for n in cfg.n_values]
     elif cfg.kind == "discovery-samples":
@@ -192,8 +191,7 @@ def run_discovery_experiment(cfg: ExperimentConfig) -> str:
         work = sum(reps * (intervention_budget(n, cfg.d_max, cfg.alpha) + 1) * m * (n + 1)
                    for n, m in grid)
     items = [(n, m, rep) for n, m in grid for rep in range(reps)]
-    errors = fork_map(lambda item: _discovery_shd(cfg, item), items,
-                      fork_workers(len(items), work))
+    errors = fork_map(lambda item: _discovery_shd(cfg, item), items, work)
     rows = []
     for k, (n, m) in enumerate(grid):
         arr = np.asarray(errors[k * reps:(k + 1) * reps], dtype=float)
@@ -259,7 +257,8 @@ def run_mae_experiment(cfg: ExperimentConfig) -> tuple:
     E[Y|do(W)] is compared against its exact value (``scm.true_ace_exact``:
     ``random_anm`` builds linear treatment equations). Identifiability
     failures are counted, never swallowed. Every model is fitted here; the
-    ``ace`` calls of the whole experiment go to one ``util.fork_map``.
+    ``ace`` calls of the whole experiment go to one ``util.fork_map``, with
+    their Monte-Carlo numbers as its work.
     """
     n = cfg.n
     subsets = [frozenset(c) for r in range(n + 1)
@@ -290,8 +289,7 @@ def run_mae_experiment(cfg: ExperimentConfig) -> tuple:
         model, q, mc_seed = call
         return estimation.ace(model, q, cfg.mc_draws, mc_seed).value
 
-    values = fork_map(estimate, calls,
-                      fork_workers(len(calls), len(calls) * cfg.mc_draws * (n + 1)))
+    values = fork_map(estimate, calls, len(calls) * cfg.mc_draws * (n + 1))
     for (m, s, exact), value in zip(scored, values):
         sums[(m, s)] += abs(value - exact)
     rows = [

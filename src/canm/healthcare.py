@@ -47,9 +47,6 @@ class MixedBayesNet:
             if any(v <= 0 for v in values):
                 raise UsageError(f"non-positive variance for {name}")
 
-    def order(self) -> tuple:
-        return self.nodes
-
     def _mean(self, spec, values, m):
         kind = spec["type"]
         if kind == "const":

@@ -6,8 +6,15 @@ for validation. The oracle exploits that a randomized variable can only
 influence another variable along directed paths out of it once its incoming
 edges are cut, so dependence reduces to reachability.
 
-The scalar Pearson test and the per-dataset Pearson batch share one p-value
-kernel, ``_pearson_p_value``, on Student's t distribution function
+The test protocol: every factory here returns a test with
+``test.batch(ds, pairs) -> list[bool]``, one verdict per (a, b) pair of
+dataset columns, and ``test.needs_data``, false when the test reads only the
+dataset's targets. ``test(ds, a, b)`` is a batch of one. Discovery calls
+only ``batch`` and reads ``needs_data``; a plain callable ``(ds, a, b) ->
+bool`` is not a test and discovery refuses it with ``UsageError``.
+
+``test_independence(method="pearson")`` and the Pearson batch share one
+p-value kernel, ``_pearson_p_value``, on Student's t distribution function
 ``scipy.special.stdtr``. ``scipy.special`` is the only SciPy module this
 package loads at import.
 """
@@ -106,6 +113,15 @@ def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVE
     raise UsageError(f"unknown independence test {method!r}")
 
 
+def _dependence_test(batch, needs_data: bool):
+    """A test that follows the protocol of this module around ``batch``."""
+    def test(ds, a: int, b: int) -> bool:
+        return batch(ds, [(a, b)])[0]
+
+    test.batch, test.needs_data = batch, needs_data
+    return test
+
+
 def oracle_ci_test(g: Dag):
     """Dependence test backed by the true treatment DAG; caches reachability
     per intervention set so repeated discovery queries stay cheap. Latent
@@ -125,12 +141,16 @@ def oracle_ci_test(g: Dag):
             reach = cache[key] = closure_bits(n, edges, key)
         return [bool(reach[a] >> b & 1) for a, b in pairs]
 
-    def test(ds, a: int, b: int) -> bool:
-        return batch(ds, [(a, b)])[0]
+    return _dependence_test(batch, needs_data=False)
 
-    test.needs_data = False
-    test.batch = batch
-    return test
+
+def _columns(ds, pairs) -> list:
+    """The sorted columns the pairs name, each a treatment of ds: the
+    outcome column, or any index outside 0..n-1, raises UsageError."""
+    cols = sorted({c for pair in pairs for c in pair})
+    if cols and (cols[0] < 0 or cols[-1] >= ds.n):
+        raise UsageError(f"dependence test pairs must name treatments 0..{ds.n - 1}")
+    return cols
 
 
 def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
@@ -140,19 +160,19 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
     order queries are issued in."""
     _check_level(level)
 
-    def test(ds, a: int, b: int) -> bool:
-        verdict = test_independence(
-            ds.x(a), ds.x(b), method=method, level=level,
-            permutations=permutations, seed=derive_seed(seed, ds.seed, a, b),
-        )
-        return verdict.dependent
+    def dcorr_batch(ds, pairs):
+        _columns(ds, pairs)
+        return [test_independence(ds.x(a), ds.x(b), method=method, level=level,
+                                  permutations=permutations,
+                                  seed=derive_seed(seed, ds.seed, a, b)).dependent
+                for a, b in pairs]
 
     def pearson_batch(ds, pairs):
         # one centered gram product per dataset instead of per-pair passes
         m = ds.m
         if m < MIN_SAMPLES:
             raise UsageError(f"statistical backends need at least {MIN_SAMPLES} samples")
-        cols = sorted({c for pair in pairs for c in pair})
+        cols = _columns(ds, pairs)
         block = ds.data[:, cols]
         if np.any(np.ptp(block, axis=0) == 0.0):
             raise UsageError("constant input vector")
@@ -164,7 +184,5 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
                       for a, b in pairs])
         return [bool(v) for v in _pearson_p_value(r, m - 2) < level]
 
-    test.needs_data = True
-    if method == "pearson":
-        test.batch = pearson_batch
-    return test
+    return _dependence_test(pearson_batch if method == "pearson" else dcorr_batch,
+                            needs_data=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UsageError
 from .graph import Dag, topological_order
-from .util import chol_factor, sample_mvn
+from .util import chol_factor
 
 PSD_EIG_FLOOR = -1e-9
 SYM_TOL = 1e-12
@@ -336,7 +336,7 @@ def sample(anm: ConfoundedAnm, targets, value_policy: str = "std_normal",
     if m < 1:
         raise UsageError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    u = sample_mvn(rng, anm.noise.mean, anm.noise.factor(), m)
+    u = rng.standard_normal((m, n + 1)) @ anm.noise.factor().T + anm.noise.mean
     tsort = sorted(targets)
     drawn = _policy_values(value_policy, tsort, m, rng)
     vals = np.zeros((m, n + 1), order="F")  # column-major while evaluating

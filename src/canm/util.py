@@ -60,25 +60,15 @@ def chol_factor(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def sample_mvn(rng: np.random.Generator, mean: np.ndarray, factor: np.ndarray, m: int) -> np.ndarray:
-    """Draw m rows from N(mean, factor @ factor.T) with a fixed rng order."""
-    z = rng.standard_normal((m, len(mean)))
-    return z @ factor.T + mean
-
-
 # Thread-count setters an OpenBLAS build may export, tried in this order.
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                  "openblas_set_num_threads64_", "openblas_set_num_threads")
 
-# Least work, in numbers drawn or written over all items, that fork_workers
+# Least work, in numbers drawn or written over all items, that fork_map
 # forks for: a pool of two forked workers takes about 20 ms to start and stop
 # (2-core Xeon, canm and its CLI loaded), and two workers win that back from
 # about half a million numbers drawn (n=8, m=300 Pearson discovery breaks
-# even; n=5 loses, n=12 gains). Its callers: the tested regimes of one
-# data-test discovery (discovery.learn_observable_graph), the datasets of
-# discovery.save_discovery_result, the replications of a data-test
-# discovery experiment and the Monte-Carlo rows of a mae experiment's ace
-# calls (harness).
+# even; n=5 loses, n=12 gains).
 FORK_MIN_WORK = 500_000
 
 # glibc mallopt parameters (malloc.h) and the values each fork_map worker
@@ -160,10 +150,7 @@ def in_worker() -> bool:
 
 def _start_worker(job, setters, mallopt) -> None:
     """Initialize a fork_map worker: record its job, pin OpenBLAS to one
-    thread, and let it keep its freed heap pages (``_WORKER_MALLOC``), which
-    changes no result. Only workers do this: the calling process belongs to
-    the user. Where the C library has no ``mallopt`` the worker keeps its
-    allocator's defaults."""
+    thread and set ``_WORKER_MALLOC``, which changes no result."""
     global _JOB
     _JOB = job
     for set_threads in setters:
@@ -177,40 +164,35 @@ def _run_item(index: int):
     return fn(items[index])
 
 
-def fork_workers(count: int, work: int) -> int:
-    """Worker processes for ``count`` items that draw or write ``work``
-    numbers in total: one per usable CPU, capped at ``count``, or 0 (run
-    inline) when that is one, when ``work`` is below ``FORK_MIN_WORK``, or
-    when forking is unsafe or unpinnable: no ``fork`` start method, another
-    live Python thread (forking it would copy held locks), a caller that is
-    itself a worker, or no OpenBLAS thread setter to call."""
-    workers = min(usable_cpus(), count)
+def fork_map(fn, items, work: int) -> list:
+    """``[fn(item) for item in items]`` for items that draw or write
+    ``work`` numbers in total: the one place canm decides whether to fork.
+
+    It forks one worker per usable CPU, capped at the item count, once
+    ``work`` reaches ``FORK_MIN_WORK``. It runs inline when that makes
+    fewer than two workers, and when forking is unsafe or unpinnable: no
+    ``fork`` start method, another live Python thread (forking it would
+    copy held locks), a caller that is itself a worker (``in_worker``), or
+    no OpenBLAS thread setter to call. Each worker sets the loaded OpenBLAS
+    to one thread so workers do not oversubscribe the cores, and raises
+    glibc's mmap and trim thresholds (``_WORKER_MALLOC``) so it reuses
+    freed heap pages for its per-call arrays; where the C library has no
+    ``mallopt`` it keeps the defaults. Neither setting touches the calling
+    process, which is the user's.
+
+    fn and the items reach the workers through the fork itself, never
+    pickled, so closures work; only item indices and results cross a pipe.
+    Results come back in item order and an exception raised in a worker is
+    re-raised here with its class, so the caller sees the same outcome as
+    the inline loop. A worker that dies without one (a memory kill, a
+    signal) raises ``BrokenProcessPool`` here.
+    """
+    items = list(items)
+    workers = min(usable_cpus(), len(items))
     if (workers < 2 or work < FORK_MIN_WORK or in_worker()
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()
             or not _blas_thread_setters()):
-        return 0
-    return workers
-
-
-def fork_map(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, computed by ``workers`` forked
-    processes (``fork_workers``), or inline when that is below 2.
-
-    Each worker sets the loaded OpenBLAS to one thread so workers do not
-    oversubscribe the cores, and raises glibc's mmap and trim thresholds
-    (``mallopt``) so it reuses freed heap pages for its per-call arrays
-    instead of faulting in fresh ones; where the C library has no
-    ``mallopt`` it keeps the defaults. Neither setting touches the calling
-    process, which is the user's. fn and the items reach the workers
-    through the fork itself, never pickled, so closures work; only item
-    indices and results cross a pipe. Results come back in item order and an exception
-    raised in a worker is re-raised here with its class, so the caller sees
-    the same outcome as the inline loop. A worker that dies without one (a
-    memory kill, a signal) raises ``BrokenProcessPool`` here.
-    """
-    items = list(items)
-    if workers < 2:
         return [fn(item) for item in items]
     with concurrent.futures.ProcessPoolExecutor(
             workers, multiprocessing.get_context("fork"), _start_worker,

@@ -15,9 +15,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def forking(monkeypatch):
-    """Two usable CPUs, no work floor and a stand-in OpenBLAS thread setter,
-    so ``util.fork_workers`` forks for any work with two or more items,
-    whichever BLAS this host loaded."""
+    """Two usable CPUs, no work floor and a stand-in OpenBLAS thread setter:
+    the host-dependent conditions of ``util.fork_map`` (its docstring has
+    them all), met whichever BLAS this host loaded."""
     from canm import util
 
     monkeypatch.setattr(util, "usable_cpus", lambda: 2)

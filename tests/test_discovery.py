@@ -1,5 +1,6 @@
 """Closure learning, the randomized outer loop, plans, and sufficiency."""
 import math
+import types
 
 import numpy as np
 import pytest
@@ -149,12 +150,15 @@ class TestLazyRegimes:
         res = learn_observable_graph(draw, oracle, 8, 3, 2.0, 25, seed=32)
         assert calls == []
         assert all(isinstance(ds, LazyDataset) and ds.m == 25 for ds in res.collected)
-        # a test without needs_data is assumed to read data: run inline, it
-        # reads the handles of the regimes it tests, which keep their draws,
-        # and every kept dataset is still a handle
+        # a data test run inline reads the handles of the regimes it tests,
+        # which keep their draws, and every kept dataset is still a handle
+        def reading_batch(ds, pairs):
+            assert len(ds.data) == 25
+            return oracle.batch(ds, pairs)
+
         eager_draw, eager_calls = counting(anm_sampler(anm))
         eager = learn_observable_graph(
-            eager_draw, lambda ds, a, b: len(ds.data) == 25 and oracle(ds, a, b),
+            eager_draw, types.SimpleNamespace(batch=reading_batch, needs_data=True),
             8, 3, 2.0, 25, seed=32)
         tested = sum(bool(r.randomized) for r in plan_discovery(8, 3, 2.0, seed=32))
         assert 0 < len(eager_calls) == tested < len(eager.collected)
@@ -234,7 +238,7 @@ class TestWorkerCount:
         # inline, the tested handles keep their draws
         assert not all(inline_undrawn)
         monkeypatch.setattr(util, "usable_cpus", lambda: 2)
-        nested = util.fork_map(discover, range(2), util.fork_workers(2, 0))
+        nested = util.fork_map(discover, range(2), 0)
         for graph, undrawn in nested:
             assert graph == inline_graph
             assert len(undrawn) == len(inline_undrawn) and all(undrawn)
@@ -255,6 +259,20 @@ class TestWorkerCount:
         # the cause carries the worker's traceback
         assert "constant input vector" in str(info.value.__cause__)
         assert "_raw_edges" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("test", [
+    lambda ds, a, b: True,
+    types.SimpleNamespace(batch=lambda ds, pairs: [True] * len(pairs)),
+    types.SimpleNamespace(needs_data=False),
+], ids=["plain-callable", "no-needs-data", "no-batch"])
+def test_test_outside_the_protocol_is_refused(test):
+    draw, calls = counting(anm_sampler(random_anm(Dag(3, {(0, 1)}), seed=15)))
+    with pytest.raises(UsageError, match="batch"):
+        learn_transitive_closure(draw, test, 3, 30, seed=16)
+    with pytest.raises(UsageError, match="batch"):
+        learn_observable_graph(draw, test, 3, 2, 1.0, 30, seed=16)
+    assert calls == []
 
 
 class TestPlan:

@@ -10,6 +10,7 @@ from canm.graph import Dag, random_dag
 from canm.independence import data_ci_test, oracle_ci_test
 from canm.independence import test_independence as run_test
 from canm.scm import InterventionalDataset, random_anm, sample
+from canm.util import derive_seed
 from reference import d_separated
 
 
@@ -177,7 +178,10 @@ class TestPearsonBatch:
             ds = InterventionalDataset(frozenset({0}), "std_normal", data, trial)
             pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
             test = data_ci_test("pearson", level=0.05)
-            assert test.batch(ds, pairs) == [test(ds, a, b) for a, b in pairs]
+            verdicts = test.batch(ds, pairs)
+            assert verdicts == [test(ds, a, b) for a, b in pairs]
+            assert verdicts == [run_test(ds.x(a), ds.x(b), method="pearson", level=0.05).dependent
+                                for a, b in pairs]
             checked += len(pairs)
         assert checked > 200
 
@@ -189,9 +193,38 @@ class TestPearsonBatch:
         ds = InterventionalDataset(frozenset({0}), "std_normal", data, 0)
         test = data_ci_test("pearson")
         with pytest.raises(UsageError, match="constant"):
+            run_test(ds.x(0), ds.x(1), method="pearson")
+        with pytest.raises(UsageError, match="constant"):
             test(ds, 0, 1)
         with pytest.raises(UsageError, match="constant"):
             test.batch(ds, [(0, 2), (0, 1)])
+
+
+class TestDataTestPairs:
+    def test_dcorr_batch_is_the_scalar_test_per_pair(self):
+        rng = np.random.default_rng(23)
+        data = rng.standard_normal((40, 4))
+        data[:, 2] += data[:, 0]
+        ds = InterventionalDataset(frozenset({0}), "std_normal", data, 7)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        test = data_ci_test("dcorr", level=0.05, permutations=50, seed=3)
+        want = [run_test(ds.x(a), ds.x(b), method="dcorr", level=0.05, permutations=50,
+                         seed=derive_seed(3, 7, a, b)).dependent for a, b in pairs]
+        assert test.batch(ds, pairs) == [test(ds, a, b) for a, b in pairs] == want
+        assert want[1]
+
+    @pytest.mark.parametrize("method", ["pearson", "dcorr"])
+    @pytest.mark.parametrize("b", [-1, 3, 7])  # 3 and -1 name the outcome column Y
+    def test_pair_outside_the_treatments_raises_on_both_paths(self, method, b):
+        rng = np.random.default_rng(24)
+        ds = InterventionalDataset(frozenset({0}), "std_normal", rng.standard_normal((50, 4)), 0)
+        test = data_ci_test(method, permutations=20)
+        with pytest.raises(UsageError, match="treatments 0..2"):
+            test(ds, 0, b)
+        with pytest.raises(UsageError, match="treatments 0..2"):
+            test.batch(ds, [(0, 1), (0, b)])
+        with pytest.raises(UsageError, match="treatments 0..2"):
+            test.batch(ds, [(b, 1)])
 
 
 class TestBackendAgreement:

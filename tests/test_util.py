@@ -1,6 +1,5 @@
-"""util.fork_map and util.fork_workers: order, worker processes, BLAS
-pinning, the worker allocator setting, worker failures and the inline
-fallbacks."""
+"""util.fork_map: order, worker processes, BLAS pinning, the worker
+allocator setting, worker failures and the inline fallbacks."""
 import os
 import platform
 import resource
@@ -22,8 +21,7 @@ def square_and_pid(i):
 
 
 def forked_map(fn, items, work=0):
-    items = list(items)
-    return util.fork_map(fn, items, util.fork_workers(len(items), work))
+    return util.fork_map(fn, items, work)
 
 
 @pytest.mark.parametrize("cpus", [2, 4])  # 4: more workers than a 2-core host has cores
