@@ -1,10 +1,10 @@
 """Randomized discovery of the treatment graph from interventions.
 
 Two layers: learning the transitive closure from a strongly separating set
-system (one dependence test per intervened/free pair per set), and the outer
-randomized loop that repeatedly intervenes on a random subset, takes the
-transitive reduction of the post-interventional closure, and unions the
-recovered edges. The loop chooses every intervention before it sees a test
+system (one dependence test batch per set, a bit row per intervened node),
+and the outer randomized loop that repeatedly intervenes on a random subset,
+takes the transitive reduction of the post-interventional closure, and
+unions the recovered edges. The loop chooses every intervention before it sees a test
 result, so ``plan_discovery`` lists all its regimes up front; the tests of
 each iteration are independent of every other's and form one
 ``util.fork_map`` item; only the fold over iterations is sequential. Every
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError
-from .graph import Dag, bit_edges, bit_nodes, closure_bits, reduction_bits
+from .graph import Dag, bit_edges, bit_nodes, closure_rows, reduction_bits
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
 from .util import derive_seed, fork_map, in_worker
@@ -53,22 +53,19 @@ class SufficiencyReport:
     has_observational: bool
 
 
-def _strict_order_bits(n: int, raw_edges) -> list:
-    """Reachability closure of possibly-contradictory raw edges, with any
-    mutually-reachable pair dropped so the result is a strict partial order,
-    as ``closure_bits`` rows. The order is transitively closed: a < b < c
-    with c ~> a would make b ~> a.
+def _strict_order_bits(raw: list) -> list:
+    """Reachability closure of possibly-contradictory raw dependence rows,
+    with any mutually-reachable pair dropped so the result is a strict
+    partial order, as ``closure_rows`` rows. The order is transitively
+    closed: a < b < c with c ~> a would make b ~> a.
 
     Statistical false positives can make the raw dependence relation cyclic;
     keeping only the one-directional part of its closure is the minimal
     repair that preserves everything consistent.
     """
-    reach = closure_bits(n, raw_edges)
-    back = [0] * n  # back[a]: every node that reaches a
-    for b in range(n):
-        for a in bit_nodes(reach[b]):
-            back[a] |= 1 << b
-    return [reach[a] & ~back[a] for a in range(n)]
+    reach = closure_rows(raw)
+    return [row & ~sum(1 << b for b in bit_nodes(row) if reach[b] >> a & 1)
+            for a, row in enumerate(reach)]
 
 
 class Regime(NamedTuple):
@@ -78,11 +75,9 @@ class Regime(NamedTuple):
     per tuple of parts, starting from the run's seed; its first part names
     the regime ("obs", "closure" for a separating set plus the iteration's
     context, "context" or "joint"). ``iteration`` is -1 outside the
-    randomized loop. ``randomized`` is the separating set the dependence
-    test pairs with each free node (``_pairs``), empty for a regime no test
-    reads. The pairs themselves are built only when tested: held for every
-    regime of a plan, their tens of thousands of tuples made the garbage
-    collector run full passes during discovery.
+    randomized loop. ``randomized`` is the separating set whose nodes are
+    the sources of the regime's dependence test batch, empty for a regime
+    no test reads.
     """
 
     targets: frozenset
@@ -91,18 +86,11 @@ class Regime(NamedTuple):
     randomized: frozenset = frozenset()
 
 
-def _pairs(n: int, regime: Regime) -> list:
-    """The (randomized, free) pairs the dependence test reads a regime for."""
-    targets = regime.targets
-    free = [b for b in range(n) if b not in targets]
-    return [(a, b) for a in sorted(regime.randomized) for b in free]
-
-
 def _separating_regimes(n: int, context: frozenset, key: tuple, t: int) -> list:
     regimes = []
     for idx, s in enumerate(strongly_separating(n) if n > 1 else ()):
         targets = s | context
-        randomized = s if len(targets) < n else frozenset()  # no free node, no pair
+        randomized = s if len(targets) < n else frozenset()  # no free node, no test
         regimes.append(Regime(targets, key + (("int", idx),), t, randomized))
     return regimes
 
@@ -154,23 +142,24 @@ def _reads_data(test) -> bool:
     """``test.needs_data`` of a test that follows the protocol of
     ``canm.independence``; UsageError for anything else."""
     if not (hasattr(test, "batch") and hasattr(test, "needs_data")):
-        raise UsageError("a dependence test needs batch(ds, pairs) and needs_data; "
+        raise UsageError("a dependence test needs batch(ds, sources) and needs_data; "
                          "build it with canm.independence")
     return test.needs_data
 
 
 def _raw_edges(sampler, test, n: int, m: int, seed: int, entries) -> list:
-    """The pairs the test finds dependent over (regime, handle) entries. A
-    data test reads the handle, which keeps what it draws, or in a
-    ``fork_map`` worker, whose copy of the handle dies with it, a fresh draw
-    dropped once tested. A test that reads only targets makes the handle
-    draw nothing."""
+    """Raw dependence edges over (regime, handle) entries, as the OR of the
+    test's rows per randomized node. A data test reads the handle, which
+    keeps what it draws, or in a ``fork_map`` worker, whose copy of the
+    handle dies with it, a fresh draw dropped once tested. A test that reads
+    only targets makes the handle draw nothing."""
     fresh = test.needs_data and in_worker()
-    raw = []
+    raw = [0] * n
     for regime, handle in entries:
         ds = _draw(sampler, m, seed, regime) if fresh else handle
-        pairs = _pairs(n, regime)
-        raw.extend(p for p, dep in zip(pairs, test.batch(ds, pairs)) if dep)
+        sources = sorted(regime.randomized)
+        for a, row in zip(sources, test.batch(ds, sources)):
+            raw[a] |= row
     return raw
 
 
@@ -190,7 +179,7 @@ def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
     entries = [(r, _handle(sampler, n, m_per_int, seed, r))
                for r in _separating_regimes(n, frozenset(), (), 0) if r.randomized]
     raw = _raw_edges(sampler, test, n, m_per_int, seed, entries)
-    return Dag(n, frozenset(bit_edges(_strict_order_bits(n, raw))))
+    return Dag(n, frozenset(bit_edges(_strict_order_bits(raw))))
 
 
 def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0,
@@ -231,18 +220,16 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
                           [(plan[k], collected[k]) for k in ks])
 
     raws = fork_map(round_edges, rounds.values(), work)
-    edges: set = set()
-    # reachability of the union edge set; used to refuse edges a statistical
-    # test run would otherwise turn into a cycle (exact tests never trigger
-    # the guard)
-    reach = [0] * n
+    # reach: reachability of the learned rows; used to refuse edges a
+    # statistical test run would otherwise turn into a cycle (exact tests
+    # never trigger the guard)
+    learned, reach = [0] * n, [0] * n
     for raw in raws:
-        for a, b in bit_edges(reduction_bits(_strict_order_bits(n, raw))):
-            if (a, b) in edges or reach[b] >> a & 1:
-                continue
-            edges.add((a, b))
-            reach = closure_bits(n, edges)
-    return DiscoveryResult(Dag(n, frozenset(edges)), collected, len(plan) - 1)
+        for a, b in bit_edges(reduction_bits(_strict_order_bits(raw))):
+            if not (learned[a] >> b & 1 or reach[b] >> a & 1):
+                learned[a] |= 1 << b
+                reach = closure_rows(learned)
+    return DiscoveryResult(Dag(n, frozenset(bit_edges(learned))), collected, len(plan) - 1)
 
 
 def core_intervention_plan(g: Dag, independent_flags=None) -> tuple:

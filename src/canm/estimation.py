@@ -20,7 +20,7 @@ import numpy as np
 from .discovery import SufficiencyReport, check_sufficiency
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError
 from .graph import Dag, topological_order
-from .scm import AceEstimate, InterventionalDataset, StructuralFunction, _node_index
+from .scm import AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction, _node_index
 from .util import chol_factor, repair_psd
 
 OUTCOME = "y"
@@ -460,8 +460,9 @@ def model_from_json(obj: dict) -> EstimatedModel:
     """Read a model saved by ``model_to_json``. Raises UsageError unless the
     equations are listed in node order, each over exactly its graph parents
     (the outcome over all treatments) with terms on those alone and k-NN
-    arrays of matching shapes, and ``sigma_hat`` is finite. The covariance
-    is still repaired on construction (``EstimatedModel``)."""
+    arrays of matching shapes, and ``sigma_hat`` is finite and passes the
+    checks of the noise covariance it estimates (``scm.NoiseSpec``). It is
+    still repaired on construction (``EstimatedModel``)."""
     try:
         graph = Dag.from_json(obj["graph"])
         eqs = tuple(_equation_from_json(e) for e in obj["equations"])
@@ -483,6 +484,10 @@ def model_from_json(obj: dict) -> EstimatedModel:
     _check_equation(eq_y, OUTCOME, frozenset(range(graph.n)))
     if not np.all(np.isfinite(sigma)):
         raise UsageError("sigma_hat must be finite")
+    try:
+        NoiseSpec(np.zeros(graph.n + 1), sigma)
+    except UsageError as exc:
+        raise UsageError(f"sigma_hat: {exc}") from None
     return EstimatedModel(graph, eqs, eq_y, sigma, fitted_from, flags)
 
 

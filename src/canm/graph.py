@@ -101,28 +101,31 @@ def topological_order(g: Dag) -> list:
     return order
 
 
-def closure_bits(n: int, edges, cut=()) -> list:
-    """Reachability of any edge set, as one integer bitset per node.
-
-    Bit j of ``reach[i]`` is set iff a directed path of length >= 1 leads
-    from i to j; the edges may form cycles (a node on a cycle reaches
-    itself). Edges into the nodes of ``cut`` are dropped first, which is the
-    graph surgery of an intervention on them. Warshall over Python ints.
-    """
-    blocked = 0
-    for v in cut:
-        blocked |= 1 << v
-    reach = [0] * n
-    for a, b in edges:
-        if not blocked >> b & 1:
-            reach[a] |= 1 << b
-    for k in range(n):
+def closure_rows(rows) -> list:
+    """Reachability of a relation given as one integer bitset per node (bit
+    j of ``rows[i]``: i -> j), in the same form: bit j of ``reach[i]`` is set
+    iff a path of length >= 1 leads from i to j. Cycles are allowed (a node
+    on a cycle reaches itself). Warshall over Python ints."""
+    reach = list(rows)
+    for k in range(len(reach)):
         bit, row = 1 << k, reach[k]
         if row:
-            for i in range(n):
-                if reach[i] & bit:
-                    reach[i] |= row
+            for i, r in enumerate(reach):
+                if r & bit:
+                    reach[i] = r | row
     return reach
+
+
+def closure_bits(n: int, edges, cut=()) -> list:
+    """``closure_rows`` of any edge set over n nodes. Edges into the nodes
+    of ``cut`` are dropped first, which is the graph surgery of an
+    intervention on them."""
+    blocked = sum(1 << v for v in set(cut))
+    rows = [0] * n
+    for a, b in edges:
+        if not blocked >> b & 1:
+            rows[a] |= 1 << b
+    return closure_rows(rows)
 
 
 def bit_nodes(mask: int) -> list:
@@ -142,7 +145,7 @@ def transitive_closure(g: Dag) -> Dag:
 
 def reduction_bits(reach: list) -> list:
     """Transitive reduction of an acyclic reachability relation given as
-    ``closure_bits`` rows: v stays a child of u iff no w with u ~> w has
+    ``closure_rows`` rows: v stays a child of u iff no w with u ~> w has
     w ~> v."""
     red = []
     for row in reach:

@@ -258,9 +258,12 @@ def run_mae_experiment(cfg: ExperimentConfig) -> tuple:
     ``random_anm`` builds linear treatment equations). Identifiability
     failures are counted, never swallowed. Every model is fitted here; the
     ``ace`` calls of the whole experiment go to one ``util.fork_map``, with
-    their Monte-Carlo numbers as its work.
+    their Monte-Carlo numbers as its work. Refuses n above 10.
     """
     n = cfg.n
+    if n > 10:
+        raise UsageError(f"mae scores every query subset of the n treatments, 2^{n} = "
+                         f"{2 ** n:,} per replication at n={n}; n must be <= 10")
     subsets = [frozenset(c) for r in range(n + 1)
                for c in itertools.combinations(range(n), r)]
     sums = {(m, s): 0.0 for m in cfg.sample_sizes for s in subsets}

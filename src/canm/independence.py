@@ -7,11 +7,14 @@ influence another variable along directed paths out of it once its incoming
 edges are cut, so dependence reduces to reachability.
 
 The test protocol: every factory here returns a test with
-``test.batch(ds, pairs) -> list[bool]``, one verdict per (a, b) pair of
-dataset columns, and ``test.needs_data``, false when the test reads only the
-dataset's targets. ``test(ds, a, b)`` is a batch of one. Discovery calls
-only ``batch`` and reads ``needs_data``; a plain callable ``(ds, a, b) ->
-bool`` is not a test and discovery refuses it with ``UsageError``.
+``test.batch(ds, sources) -> list[int]``, one bit row per source (an
+intervened treatment of ``ds``) whose bit b is set iff the free treatment b
+(one outside ``ds.targets``) tests dependent on it, and ``test.needs_data``,
+false when the test reads only the dataset's targets. ``test(ds, a, b)`` is
+bit b of a batch of one; it refuses an ``a`` not intervened or a ``b`` not
+free with ``UsageError``. Discovery calls only ``batch`` and reads
+``needs_data``; a plain callable ``(ds, a, b) -> bool`` is not a test and
+discovery refuses it with ``UsageError``.
 
 ``test_independence(method="pearson")`` and the Pearson batch share one
 p-value kernel, ``_pearson_p_value``, on Student's t distribution function
@@ -113,10 +116,20 @@ def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVE
     raise UsageError(f"unknown independence test {method!r}")
 
 
-def _dependence_test(batch, needs_data: bool):
-    """A test that follows the protocol of this module around ``batch``."""
+def _dependence_test(rows, needs_data: bool):
+    """A test that follows the protocol of this module around ``rows(ds,
+    sources, free)``, which gets checked sources and the free treatments."""
+    def batch(ds, sources):
+        if not all(a in ds.targets for a in sources):
+            raise UsageError(f"dependence test sources {list(sources)} must be intervened "
+                             f"treatments 0..{ds.n - 1}, under do({sorted(ds.targets)})")
+        return rows(ds, sources, [b for b in range(ds.n) if b not in ds.targets])
+
     def test(ds, a: int, b: int) -> bool:
-        return batch(ds, [(a, b)])[0]
+        if b in ds.targets or not 0 <= b < ds.n:
+            raise UsageError(f"dependence test b={b} must be one of the treatments "
+                             f"0..{ds.n - 1} outside do({sorted(ds.targets)})")
+        return bool(batch(ds, [a])[0] >> b & 1)
 
     test.batch, test.needs_data = batch, needs_data
     return test
@@ -126,63 +139,50 @@ def oracle_ci_test(g: Dag):
     """Dependence test backed by the true treatment DAG; caches reachability
     per intervention set so repeated discovery queries stay cheap. Latent
     confounding never changes a verdict, since randomizing a node cuts every
-    path into it. It reads only a dataset's targets, so discovery never has
-    to draw the rows."""
+    path into it: a source's row is its reachability row. It reads only a
+    dataset's targets, so discovery never has to draw the rows."""
     n, edges = g.n, g.edges
     cache: dict = {}
 
-    def batch(ds, pairs):
-        key = ds.targets
-        for a, b in pairs:
-            if a not in key or b in key or not (0 <= a < n and 0 <= b < n):
-                raise UsageError("oracle query must intervene on a, not on b, both graph nodes")
-        reach = cache.get(key)
+    def rows(ds, sources, free):
+        if ds.n != n:
+            raise UsageError(f"oracle of a {n}-node graph asked about {ds.n} treatments")
+        reach = cache.get(ds.targets)
         if reach is None:
-            reach = cache[key] = closure_bits(n, edges, key)
-        return [bool(reach[a] >> b & 1) for a, b in pairs]
+            reach = cache[ds.targets] = closure_bits(n, edges, ds.targets)
+        return [reach[a] for a in sources]
 
-    return _dependence_test(batch, needs_data=False)
-
-
-def _columns(ds, pairs) -> list:
-    """The sorted columns the pairs name, each a treatment of ds: the
-    outcome column, or any index outside 0..n-1, raises UsageError."""
-    cols = sorted({c for pair in pairs for c in pair})
-    if cols and (cols[0] < 0 or cols[-1] >= ds.n):
-        raise UsageError(f"dependence test pairs must name treatments 0..{ds.n - 1}")
-    return cols
+    return _dependence_test(rows, needs_data=False)
 
 
 def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
                  permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0):
     """Dependence test evaluated on dataset columns. The per-query seed is
-    derived from (seed, dataset seed, pair) so results do not depend on the
-    order queries are issued in."""
+    derived from (seed, dataset seed, source, free node) so results do not
+    depend on the order queries are issued in."""
     _check_level(level)
 
-    def dcorr_batch(ds, pairs):
-        _columns(ds, pairs)
-        return [test_independence(ds.x(a), ds.x(b), method=method, level=level,
-                                  permutations=permutations,
-                                  seed=derive_seed(seed, ds.seed, a, b)).dependent
-                for a, b in pairs]
+    def dcorr_rows(ds, sources, free):
+        return [sum(1 << b for b in free if test_independence(
+            ds.x(a), ds.x(b), method=method, level=level, permutations=permutations,
+            seed=derive_seed(seed, ds.seed, a, b)).dependent) for a in sources]
 
-    def pearson_batch(ds, pairs):
+    def pearson_rows(ds, sources, free):
         # one centered gram product per dataset instead of per-pair passes
         m = ds.m
         if m < MIN_SAMPLES:
             raise UsageError(f"statistical backends need at least {MIN_SAMPLES} samples")
-        cols = _columns(ds, pairs)
+        cols = sorted({*sources, *free})
         block = ds.data[:, cols]
         if np.any(np.ptp(block, axis=0) == 0.0):
             raise UsageError("constant input vector")
         sub = block - block.mean(axis=0)
         norms = np.sqrt((sub * sub).sum(axis=0))
         gram = sub.T @ sub
-        idx = {c: k for k, c in enumerate(cols)}
-        r = np.array([gram[idx[a], idx[b]] / (norms[idx[a]] * norms[idx[b]])
-                      for a, b in pairs])
-        return [bool(v) for v in _pearson_p_value(r, m - 2) < level]
+        src, dst = np.searchsorted(cols, sources), np.searchsorted(cols, free)
+        r = gram[np.ix_(src, dst)] / np.outer(norms[src], norms[dst])
+        dependent = (_pearson_p_value(r, m - 2) < level).tolist()
+        return [sum(1 << b for b, dep in zip(free, row) if dep) for row in dependent]
 
-    return _dependence_test(pearson_batch if method == "pearson" else dcorr_batch,
+    return _dependence_test(pearson_rows if method == "pearson" else dcorr_rows,
                             needs_data=True)

@@ -232,6 +232,18 @@ def test_wrong_typed_experiment_config_is_usage_error(kind, cfg, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cfg, count", [(None, "2^20 = 1,048,576"), ({"n": 11}, "2^11 = 2,048")])
+def test_mae_experiment_refuses_more_than_ten_treatments(cfg, count, tmp_path, capsys):
+    # with no config, n is 20: the README's old mae example ran for hours
+    argv = ["experiment", "--kind", "mae", "--seed", "5", "--out", str(tmp_path / "o")]
+    if cfg:
+        argv += ["--config", _write_cfg(tmp_path, cfg)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and count in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sample_rejects_non_integer_targets(tmp_path, capsys):
     anm = tmp_path / "anm.json"
     run(["gen-scm", "--n", "2", "--seed", "1", "--out", str(anm)], capsys)
@@ -509,6 +521,11 @@ CORRUPT_MODELS = {
     "outcome-parents-mismatch": ("basis", _set("outcome_equation", "parents", [0, 1]), "parents"),
     "missing-equation": ("basis", lambda obj: obj["equations"].pop(), "equations"),
     "ragged-sigma": ("basis", _set("sigma_hat", 1, [0.0]), "malformed"),
+    # both exited 4 (NumericalError) or were silently symmetrized before
+    "asymmetric-sigma": ("basis", _set("sigma_hat", 0, 1, 50.0), "symmetric"),
+    "non-psd-sigma": ("basis", _set("sigma_hat", [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+                      "not PSD"),
     "knn-short-train-y": ("knn", lambda obj: obj["equations"][1]["train_y"].pop(), "shapes"),
     "knn-center-shape": ("knn", _set("equations", 1, "center", []), "shapes"),
 }

@@ -1,5 +1,7 @@
 """Closure learning, the randomized outer loop, plans, and sufficiency."""
+import importlib.util
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -8,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canm.discovery import (
-    _pairs,
     _strict_order_bits,
     check_sufficiency,
     core_intervention_plan,
@@ -32,7 +33,7 @@ from canm.graph import (
     transitive_reduction,
 )
 from canm.independence import data_ci_test, oracle_ci_test
-from canm import util
+from canm import discovery, independence, util
 from canm.scm import InterventionalDataset, LazyDataset, anm_sampler, random_anm, sample
 from canm.setsys import strongly_separating
 from canm.util import derive_seed
@@ -58,6 +59,13 @@ def dfs_reach(n, edges):
     return reach
 
 
+def edge_rows(n, edges):
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+    return rows
+
+
 def reference_strict_order(n, raw_edges):
     """Per-source DFS closure minus every mutually reachable pair."""
     reach = dfs_reach(n, raw_edges)
@@ -72,9 +80,10 @@ def reference_observable_graph(sampler, test, n, d_max, alpha, m_per_int, seed):
         for idx, s in enumerate(strongly_separating(n) if n > 1 else ()):
             ds = sampler(frozenset(s) | context, m_per_int, derive_seed(cseed, "int", idx))
             datasets.append(ds)
-            pairs = [(a, b) for a in sorted(s) for b in sorted(set(range(n)) - context - s)]
-            if pairs:
-                raw.update(p for p, dep in zip(pairs, test.batch(ds, pairs)) if dep)
+            sources, free = sorted(s), sorted(set(range(n)) - context - s)
+            if free:
+                rows = test.batch(ds, sources)
+                raw.update((a, b) for a, row in zip(sources, rows) for b in free if row >> b & 1)
         clos = reference_strict_order(n, raw)
         red = {(u, v) for u, v in clos
                if not any((u, w) in clos and (w, v) in clos for w in range(n))}
@@ -125,7 +134,7 @@ raw_edge_sets = st.integers(1, 9).flatmap(lambda n: st.tuples(
 @given(raw_edge_sets)
 def test_strict_order_edges_matches_reference(case):
     n, raw = case
-    assert set(bit_edges(_strict_order_bits(n, raw))) == reference_strict_order(n, raw)
+    assert set(bit_edges(_strict_order_bits(edge_rows(n, raw)))) == reference_strict_order(n, raw)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -135,7 +144,7 @@ def test_reduction_of_strict_order_rows_matches_transitive_reduction(case):
     Dag; the edges, in the order the cycle guard walks them, are those of
     graph.transitive_reduction on the strict order as a Dag."""
     n, raw = case
-    order = _strict_order_bits(n, raw)
+    order = _strict_order_bits(edge_rows(n, raw))
     edges = bit_edges(reduction_bits(order))
     assert edges == sorted(transitive_reduction(Dag(n, frozenset(bit_edges(order)))).edges)
 
@@ -152,9 +161,9 @@ class TestLazyRegimes:
         assert all(isinstance(ds, LazyDataset) and ds.m == 25 for ds in res.collected)
         # a data test run inline reads the handles of the regimes it tests,
         # which keep their draws, and every kept dataset is still a handle
-        def reading_batch(ds, pairs):
+        def reading_batch(ds, sources):
             assert len(ds.data) == 25
-            return oracle.batch(ds, pairs)
+            return oracle.batch(ds, sources)
 
         eager_draw, eager_calls = counting(anm_sampler(anm))
         eager = learn_observable_graph(
@@ -263,7 +272,7 @@ class TestWorkerCount:
 
 @pytest.mark.parametrize("test", [
     lambda ds, a, b: True,
-    types.SimpleNamespace(batch=lambda ds, pairs: [True] * len(pairs)),
+    types.SimpleNamespace(batch=lambda ds, sources: [0] * len(sources)),
     types.SimpleNamespace(needs_data=False),
 ], ids=["plain-callable", "no-needs-data", "no-batch"])
 def test_test_outside_the_protocol_is_refused(test):
@@ -273,6 +282,37 @@ def test_test_outside_the_protocol_is_refused(test):
     with pytest.raises(UsageError, match="batch"):
         learn_observable_graph(draw, test, 3, 2, 1.0, 30, seed=16)
     assert calls == []
+
+
+def test_benchmark_tracer_sees_the_row_protocol(monkeypatch):
+    """``perfbench/tracer.py`` wraps every test's ``batch`` as a function of
+    two positional arguments and counts ``len()`` of the second: discovery
+    under it learns the untraced graphs and its batch calls are counted."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    importlib.import_module("canm.harness")  # Tracer.install wraps its functions too
+    monkeypatch.setattr(util, "usable_cpus", lambda: 1)  # counted only in this process
+    anm = random_anm(random_dag(6, 3, seed=50), seed=51)
+
+    def learned_graphs():
+        tests = ((independence.oracle_ci_test(anm.graph), 1),
+                 (independence.data_ci_test("pearson", level=0.3, seed=52), 120))
+        return [discovery.learn_observable_graph(anm_sampler(anm), test, 6, 3, 1.0, m,
+                                                 seed=53).learned_graph for test, m in tests]
+
+    want = learned_graphs()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        got = learned_graphs()
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert tracer.counts["independence.test.batch_calls"] > 0
+    assert tracer.counts["independence.test.pairs"] > 0
+    assert independence.data_ci_test is data_ci_test
 
 
 class TestPlan:
@@ -292,11 +332,10 @@ class TestPlan:
                 context = plan[(r.iteration + 1) * (len(system) + 1)].targets
                 sep = system.sets[r.key[-1][1]]
                 assert r.targets == sep | context
-                pairs = [(a, b) for a in sorted(sep) for b in range(8) if b not in r.targets]
-                assert _pairs(8, r) == pairs
-                assert r.randomized == (sep if pairs else frozenset())
+                free = [b for b in range(8) if b not in r.targets]
+                assert r.randomized == (sep if free else frozenset())
             else:
-                assert r.randomized == frozenset() and _pairs(8, r) == []
+                assert r.randomized == frozenset()
 
     @pytest.mark.parametrize("args", [(0, 3, 1.0), (4, 1, 1.0), (4, 3, 0.5)])
     def test_plan_rejects_bad_parameters(self, args):

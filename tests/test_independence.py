@@ -7,11 +7,11 @@ from scipy import stats
 
 from canm.errors import UsageError
 from canm.graph import Dag, random_dag
-from canm.independence import data_ci_test, oracle_ci_test
+from canm.independence import MIN_SAMPLES, data_ci_test, oracle_ci_test
 from canm.independence import test_independence as run_test
 from canm.scm import InterventionalDataset, random_anm, sample
 from canm.util import derive_seed
-from reference import d_separated
+from reference import d_separated, pearson_scalar_p_value
 
 
 class TestStatisticalBackends:
@@ -97,13 +97,19 @@ def bfs_reachable(edges, n, targets, src, dst):
     return False
 
 
+def zeros_dataset(targets, n):
+    return InterventionalDataset(frozenset(targets), "std_normal", np.zeros((1, n + 1)), 0)
+
+
 def oracle_verdicts(g, targets, pairs):
-    """The oracle's verdicts for pairs under do(targets); its scalar test and
-    its batch must agree."""
+    """The oracle's verdicts for (intervened, free) pairs under do(targets),
+    read off its bit rows; its scalar test must agree with each."""
     test = oracle_ci_test(g)
-    ds = InterventionalDataset(frozenset(targets), "std_normal", np.zeros((1, g.n + 1)), 0)
-    verdicts = [test(ds, a, b) for a, b in pairs]
-    assert test.batch(ds, pairs) == verdicts
+    ds = zeros_dataset(targets, g.n)
+    sources = sorted(targets)
+    rows = dict(zip(sources, test.batch(ds, sources)))
+    verdicts = [bool(rows[a] >> b & 1) for a, b in pairs]
+    assert verdicts == [test(ds, a, b) for a, b in pairs]
     return verdicts
 
 
@@ -121,13 +127,17 @@ class TestOracle:
 
     def test_query_shape_enforced(self):
         test = oracle_ci_test(Dag(2, {(0, 1)}))
-        # a not intervened; b intervened; b not a node of the graph
-        for targets, pair in (({0}, (1, 0)), ({0, 1}, (0, 1)), ({0}, (0, 2))):
-            ds = InterventionalDataset(frozenset(targets), "std_normal", np.zeros((1, 4)), 0)
+        # a not intervened; b intervened; b not a node of the graph (of the
+        # dataset, or of the graph only)
+        for ds, pair in ((zeros_dataset({0}, 2), (1, 0)), (zeros_dataset({0, 1}, 2), (0, 1)),
+                         (zeros_dataset({0}, 2), (0, 2)), (zeros_dataset({0}, 3), (0, 2))):
             with pytest.raises(UsageError):
                 test(ds, *pair)
+        # a source not intervened; a dataset over more treatments than the graph
+        for ds, sources in ((zeros_dataset({0}, 2), [1]), (zeros_dataset({0}, 2), [0, 1]),
+                            (zeros_dataset({0}, 3), [0])):
             with pytest.raises(UsageError):
-                test.batch(ds, [pair])
+                test.batch(ds, sources)
 
     def test_matches_bfs_on_random_graphs(self):
         rng = np.random.default_rng(9)
@@ -161,24 +171,30 @@ class TestOracleAgainstDSeparation:
         # do(targets) removes every edge and latent link into a target
         cut = Dag(g.n, frozenset((a, b) for a, b in g.edges if b not in targets))
         kept = frozenset(p for p in bidirected if not set(p) & targets)
-        pairs = [(a, b) for a in sorted(targets) for b in range(g.n) if b not in targets]
-        want = [not d_separated(cut, a, b, (), kept) for a, b in pairs]
-        assert oracle_verdicts(g, targets, pairs) == want
+        sources, free = sorted(targets), [b for b in range(g.n) if b not in targets]
+        want = [sum(1 << b for b in free if not d_separated(cut, a, b, (), kept))
+                for a in sources]
+        assert oracle_ci_test(g).batch(zeros_dataset(targets, g.n), sources) == want
+        oracle_verdicts(g, targets, [(a, b) for a in sources for b in free])  # scalar agrees
 
 
 class TestPearsonBatch:
     def test_batch_agrees_with_scalar_on_random_datasets(self):
         rng = np.random.default_rng(21)
         checked = 0
-        for trial in range(40):
+        for trial in range(80):
             n = int(rng.integers(2, 7))
             m = int(rng.integers(20, 400))
             mix = rng.standard_normal((n + 1, n + 1)) * (rng.random((n + 1, n + 1)) < 0.3)
             data = rng.standard_normal((m, n + 1)) @ (np.eye(n + 1) + mix)
-            ds = InterventionalDataset(frozenset({0}), "std_normal", data, trial)
-            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+            targets = frozenset(int(v) for v in
+                                rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+            ds = InterventionalDataset(targets, "std_normal", data, trial)
+            sources = sorted(targets)
+            pairs = [(a, b) for a in sources for b in range(n) if b not in targets]
             test = data_ci_test("pearson", level=0.05)
-            verdicts = test.batch(ds, pairs)
+            rows = dict(zip(sources, test.batch(ds, sources)))
+            verdicts = [bool(rows[a] >> b & 1) for a, b in pairs]
             assert verdicts == [test(ds, a, b) for a, b in pairs]
             assert verdicts == [run_test(ds.x(a), ds.x(b), method="pearson", level=0.05).dependent
                                 for a, b in pairs]
@@ -197,21 +213,23 @@ class TestPearsonBatch:
         with pytest.raises(UsageError, match="constant"):
             test(ds, 0, 1)
         with pytest.raises(UsageError, match="constant"):
-            test.batch(ds, [(0, 2), (0, 1)])
+            test.batch(ds, [0])
 
 
 class TestDataTestPairs:
     def test_dcorr_batch_is_the_scalar_test_per_pair(self):
         rng = np.random.default_rng(23)
-        data = rng.standard_normal((40, 4))
+        data = rng.standard_normal((40, 5))
         data[:, 2] += data[:, 0]
-        ds = InterventionalDataset(frozenset({0}), "std_normal", data, 7)
-        pairs = [(0, 1), (0, 2), (1, 2)]
+        ds = InterventionalDataset(frozenset({0, 1}), "std_normal", data, 7)
+        pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
         test = data_ci_test("dcorr", level=0.05, permutations=50, seed=3)
         want = [run_test(ds.x(a), ds.x(b), method="dcorr", level=0.05, permutations=50,
                          seed=derive_seed(3, 7, a, b)).dependent for a, b in pairs]
-        assert test.batch(ds, pairs) == [test(ds, a, b) for a, b in pairs] == want
-        assert want[1]
+        rows = test.batch(ds, [0, 1])
+        assert [bool(rows[a] >> b & 1) for a, b in pairs] == want
+        assert [test(ds, a, b) for a, b in pairs] == want
+        assert want[0]
 
     @pytest.mark.parametrize("method", ["pearson", "dcorr"])
     @pytest.mark.parametrize("b", [-1, 3, 7])  # 3 and -1 name the outcome column Y
@@ -222,9 +240,56 @@ class TestDataTestPairs:
         with pytest.raises(UsageError, match="treatments 0..2"):
             test(ds, 0, b)
         with pytest.raises(UsageError, match="treatments 0..2"):
-            test.batch(ds, [(0, 1), (0, b)])
+            test.batch(ds, [0, b])
         with pytest.raises(UsageError, match="treatments 0..2"):
-            test.batch(ds, [(b, 1)])
+            test.batch(ds, [b])
+
+
+@st.composite
+def row_queries(draw, max_n=7, max_samples=300):
+    """A random linear model's treatment DAG and one dataset of it under an
+    intervention set that leaves at least one treatment free."""
+    n = draw(st.integers(2, max_n))
+    g = random_dag(n, draw(st.integers(1, 4)), seed=draw(st.integers(0, 1 << 30)))
+    anm = random_anm(g, seed=draw(st.integers(0, 1 << 30)))
+    targets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    m = draw(st.integers(MIN_SAMPLES, max_samples))
+    return g, sample(anm, frozenset(targets), "std_normal", m, draw(st.integers(0, 1 << 30)))
+
+
+class TestRowsArePairVerdicts:
+    @pytest.mark.parametrize("level", [1e-3, 0.3])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=row_queries())
+    def test_pearson_rows_are_the_scalar_p_values(self, level, case):
+        _, ds = case
+        sources = sorted(ds.targets)
+        free = [b for b in range(ds.n) if b not in ds.targets]
+        want = [sum(1 << b for b in free if pearson_scalar_p_value(ds.x(a), ds.x(b)) < level)
+                for a in sources]
+        assert data_ci_test("pearson", level=level).batch(ds, sources) == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=row_queries(max_n=5, max_samples=60), seed=st.integers(0, 1 << 30))
+    def test_scalar_is_a_bit_of_the_batch_row_on_every_backend(self, case, seed):
+        g, ds = case
+        sources = sorted(ds.targets)
+        for test in (oracle_ci_test(g), data_ci_test("pearson", level=0.3, seed=seed),
+                     data_ci_test("dcorr", level=0.3, permutations=10, seed=seed)):
+            rows = test.batch(ds, sources)
+            assert rows == [test.batch(ds, [a])[0] for a in sources]
+            for a, row in zip(sources, rows):
+                for b in range(ds.n):
+                    if b in ds.targets:  # an intervened b is refused
+                        with pytest.raises(UsageError, match="outside do"):
+                            test(ds, a, b)
+                    else:
+                        assert test(ds, a, b) == bool(row >> b & 1)
+            free = next(b for b in range(ds.n) if b not in ds.targets)
+            with pytest.raises(UsageError, match="intervened"):
+                test.batch(ds, [free])
+            with pytest.raises(UsageError, match="intervened"):
+                test(ds, free, free)
 
 
 class TestBackendAgreement:
