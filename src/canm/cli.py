@@ -23,7 +23,7 @@ from .discovery import (
     load_discovery_result,
     save_discovery_result,
 )
-from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError
+from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError, malformed
 from .graph import Dag, random_dag
 from .independence import data_ci_test, oracle_ci_test
 from .scm import (
@@ -37,6 +37,7 @@ from .scm import (
     save_dataset,
 )
 from .setsys import strongly_separating
+from .util import read_json, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,8 +47,7 @@ EXIT_IO = 5
 
 
 def _read_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
@@ -55,10 +55,8 @@ def _read_config(path) -> dict:
 
 def _echo_config(args: argparse.Namespace, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    with open(os.path.join(out_dir, "effective_config.json"), "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "effective_config.json"),
+               {k: v for k, v in vars(args).items() if k != "func"})
 
 
 def _require_seed(args) -> int:
@@ -108,8 +106,9 @@ def _parse_flags(text, n):
 
 def _cmd_check(args) -> int:
     g = Dag.load(args.graph)
-    with open(args.targets_file) as fh:
-        targets = [parse_targets(s, g.n) for s in json.load(fh)]
+    listed = read_json(args.targets_file)
+    with malformed("targets file"):
+        targets = [parse_targets(s, g.n) for s in listed]
     report = check_sufficiency(g, targets, _parse_flags(args.flags, g.n))
     print(json.dumps({
         "sufficient": report.sufficient,

@@ -17,19 +17,19 @@ targets identifies every effect.
 """
 from __future__ import annotations
 
-import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, malformed
 from .graph import Dag, bit_edges, bit_nodes, closure_rows, reduction_bits
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
-from .util import derive_seed, fork_map, in_worker
+from .util import derive_seed, fork_map, in_worker, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -303,14 +303,11 @@ def save_discovery_result(res: DiscoveryResult, out_dir) -> None:
         save_dataset(res.collected[k], os.path.join(ds_dir, f"{k}.csv"))
 
     fork_map(write, range(len(res.collected)), sum(ds.m * (ds.n + 1) for ds in res.collected))
-    report = {
+    write_json(os.path.join(out_dir, "report.json"), {
         "interventions_used": int(res.interventions_used),
         "dataset_count": len(res.collected),
         "n": res.learned_graph.n,
-    }
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_discovery_result(out_dir) -> DiscoveryResult:
@@ -318,9 +315,10 @@ def load_discovery_result(out_dir) -> DiscoveryResult:
     each sidecar and CSV header is read and checked now, but rows are parsed
     only for the datasets a caller reads."""
     graph = Dag.load(os.path.join(out_dir, "graph.json"))
-    with open(os.path.join(out_dir, "report.json")) as fh:
-        report = json.load(fh)
+    report = read_json(os.path.join(out_dir, "report.json"))
+    with malformed("discovery report.json"):
+        count = operator.index(report["dataset_count"])
+        used = operator.index(report["interventions_used"])
     ds_dir = os.path.join(out_dir, "datasets")
-    collected = [open_dataset(os.path.join(ds_dir, f"{k}.csv"))
-                 for k in range(report["dataset_count"])]
-    return DiscoveryResult(graph, tuple(collected), report["interventions_used"])
+    collected = [open_dataset(os.path.join(ds_dir, f"{k}.csv")) for k in range(count)]
+    return DiscoveryResult(graph, tuple(collected), used)

@@ -3,6 +3,7 @@
 The CLI maps these onto process exit codes, so raising the right class
 matters more than the message text.
 """
+import contextlib
 
 
 class UsageError(ValueError):
@@ -27,3 +28,19 @@ class SingularFitError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """A linear-algebra step failed beyond repairable tolerance."""
+
+
+@contextlib.contextmanager
+def malformed(what):
+    """The one rule for building values from a parsed document: a
+    LookupError, TypeError, ValueError or AttributeError raised inside
+    becomes ``UsageError("malformed <what>: ...")``; a UsageError passes
+    unchanged. Parse outside it, so a file that is not JSON stays an I/O
+    error."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"malformed {what}: {detail}") from exc

@@ -12,16 +12,16 @@ Fitted models are immutable; effect queries are pure given a seed.
 """
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discovery import SufficiencyReport, check_sufficiency
-from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError
-from .graph import Dag, topological_order
-from .scm import AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction, _node_index
-from .util import chol_factor, repair_psd
+from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError, malformed
+from .graph import Dag, node_index, topological_order
+from .scm import AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction
+from .util import chol_factor, read_json, repair_psd, write_json
 
 OUTCOME = "y"
 RIDGE_SCALE = 1e-8
@@ -132,12 +132,12 @@ class KnnEquation:
 
 
 def _equation_from_json(obj: dict):
-    parents = frozenset(map(_node_index, obj["parents"]))
+    parents = frozenset(map(node_index, obj["parents"]))
     if obj["kind"] == "basis":
         return FittedEquation(obj["node"], parents, StructuralFunction.from_json(obj["form"]))
     if obj["kind"] == "knn":
         return KnnEquation(
-            obj["node"], parents, int(obj["k"]),
+            obj["node"], parents, operator.index(obj["k"]),
             np.asarray(obj["train_x"], dtype=float),
             np.asarray(obj["train_y"], dtype=float),
             np.asarray(obj["center"], dtype=float),
@@ -151,6 +151,8 @@ def _fit_equation(node, parents, x, target, regressor, knn_k):
     if regressor == "basis":
         return FittedEquation(node, parents, _ols(x, parents, target))
     if regressor == "knn":
+        if knn_k < 1:
+            raise UsageError(f"knn_k must be >= 1, got {knn_k}")
         if parents:
             feats = x[:, sorted(parents)]
             center = feats.mean(axis=0)
@@ -166,7 +168,8 @@ def _fit_equation(node, parents, x, target, regressor, knn_k):
 
 @dataclass(frozen=True)
 class EstimatedModel:
-    """Fitted shifted equations plus the estimated noise covariance."""
+    """Fitted shifted equations plus the estimated noise covariance, kept
+    as given (``fit_model`` repairs it once)."""
 
     graph: Dag
     eq: tuple
@@ -180,7 +183,6 @@ class EstimatedModel:
         sigma = np.asarray(self.sigma_hat, dtype=float)
         if sigma.shape != (n + 1, n + 1):
             raise UsageError("sigma_hat must be (n+1) x (n+1)")
-        sigma = repair_psd(sigma, tol=1e-6)
         object.__setattr__(self, "sigma_hat", sigma)
         object.__setattr__(self, "eq", tuple(self.eq))
         object.__setattr__(self, "fitted_from",
@@ -202,7 +204,7 @@ class AceQuery:
     intervened: tuple
 
     def __init__(self, n: int, intervened):
-        items = sorted((int(k), float(v)) for k, v in
+        items = sorted((node_index(k), float(v)) for k, v in
                        (intervened.items() if hasattr(intervened, "items") else intervened))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "intervened", tuple(items))
@@ -323,7 +325,9 @@ def fit_model(graph: Dag, datasets, independent_flags=None, regressor: str = "ba
         else:
             eqs.append(fit_treatment_equation(i, pa[i], datasets[report.witness[i]],
                                               regressor, knn_k))
-    sigma = estimate_noise_cov(obs_ds, eqs, eq_y)
+    # a fitted sigma_hat gets this looser pass after estimate_noise_cov's,
+    # here and only here, so a loaded model keeps the covariance fit saved
+    sigma = repair_psd(estimate_noise_cov(obs_ds, eqs, eq_y), tol=1e-6)
     return EstimatedModel(graph, tuple(eqs), eq_y, sigma,
                           tuple(targets_list), flags)
 
@@ -454,36 +458,31 @@ def _check_equation(eq, node, parents) -> None:
     if (eq.k < 1 or m < 1 or eq.train_y.shape != (m,) or eq.train_x.shape != (m, p)
             or eq.center.shape != (p,) or eq.scale.shape != (p,)):
         raise UsageError(f"{where}: k-NN arrays have inconsistent shapes")
+    arrays = (eq.train_x, eq.train_y, eq.center, eq.scale)
+    if not all(np.all(np.isfinite(a)) for a in arrays) or np.any(eq.scale <= 0):
+        raise UsageError(f"{where}: k-NN arrays must be finite, with a positive scale")
 
 
 def model_from_json(obj: dict) -> EstimatedModel:
     """Read a model saved by ``model_to_json``. Raises UsageError unless the
     equations are listed in node order, each over exactly its graph parents
     (the outcome over all treatments) with terms on those alone and k-NN
-    arrays of matching shapes, and ``sigma_hat`` is finite and passes the
-    checks of the noise covariance it estimates (``scm.NoiseSpec``). It is
-    still repaired on construction (``EstimatedModel``)."""
-    try:
+    arrays of matching shapes, and ``sigma_hat`` passes the checks of the
+    noise covariance it estimates (``scm.NoiseSpec``). Nothing is repaired:
+    the model reads back exactly as ``fit_model`` made it."""
+    with malformed("model JSON"):
         graph = Dag.from_json(obj["graph"])
         eqs = tuple(_equation_from_json(e) for e in obj["equations"])
         eq_y = _equation_from_json(obj["outcome_equation"])
         sigma = np.asarray(obj["sigma_hat"], dtype=float)
         fitted_from = tuple(frozenset(s) for s in obj["fitted_from"])
         flags = tuple(bool(v) for v in obj.get("independent_flags", []))
-    except KeyError as exc:
-        raise UsageError(f"malformed model JSON: missing {exc}") from exc
-    except UsageError:
-        raise
-    except (TypeError, ValueError) as exc:  # e.g. a ragged sigma_hat
-        raise UsageError(f"malformed model JSON: {exc}") from exc
     if len(eqs) != graph.n:
         raise UsageError(f"graph has {graph.n} treatments but the model lists "
                          f"{len(eqs)} equations")
     for i, parents in enumerate(graph.parent_sets()):
         _check_equation(eqs[i], i, parents)
     _check_equation(eq_y, OUTCOME, frozenset(range(graph.n)))
-    if not np.all(np.isfinite(sigma)):
-        raise UsageError("sigma_hat must be finite")
     try:
         NoiseSpec(np.zeros(graph.n + 1), sigma)
     except UsageError as exc:
@@ -492,11 +491,8 @@ def model_from_json(obj: dict) -> EstimatedModel:
 
 
 def save_model(model: EstimatedModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def load_model(path) -> EstimatedModel:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
+    return model_from_json(read_json(path))

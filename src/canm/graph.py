@@ -8,12 +8,22 @@ function, so they are safe to share across concurrent tasks.
 from __future__ import annotations
 
 import heapq
-import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, malformed
+from .util import read_json, write_json
+
+
+def node_index(node) -> int:
+    """A node index: JSON object keys are strings of digits, anything else
+    must be an integer (operator.index rejects 1.9 where int() truncates)."""
+    try:
+        return int(node) if isinstance(node, str) else operator.index(node)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"node indices must be integers, got {node!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -24,7 +34,9 @@ class Dag:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
+        object.__setattr__(self, "n", node_index(self.n))
+        object.__setattr__(self, "edges",
+                           frozenset((node_index(a), node_index(b)) for a, b in self.edges))
         if self.n < 0:
             raise UsageError("node count must be nonnegative")
         for a, b in self.edges:
@@ -59,20 +71,15 @@ class Dag:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dag":
-        try:
-            return cls(int(obj["n"]), frozenset((int(a), int(b)) for a, b in obj["edges"]))
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"malformed graph JSON: {exc}") from exc
+        with malformed("graph JSON"):
+            return cls(obj["n"], obj["edges"])
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "Dag":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def topological_order(g: Dag) -> list:

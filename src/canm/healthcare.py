@@ -8,16 +8,15 @@ the estimation pipeline.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, malformed
 from .graph import Dag
 from .scm import AceEstimate, InterventionalDataset
-from .util import derive_seed
+from .util import derive_seed, read_json
 
 TABLE_TOL = 1e-9
 
@@ -118,11 +117,6 @@ class MixedBayesNet:
         return values
 
 
-def _load_config() -> dict:
-    with resources.files("canm.data").joinpath("healthcare.json").open() as fh:
-        return json.load(fh)
-
-
 def healthcare_model():
     """Bundled network plus the role map the estimation pipeline needs.
 
@@ -130,8 +124,8 @@ def healthcare_model():
     name, the observable treatment graph (latent parents dropped), and the
     per-treatment ranges interventions are drawn from.
     """
-    cfg = _load_config()
-    try:
+    cfg = read_json(resources.files("canm.data") / "healthcare.json")
+    with malformed("bundled network config"):
         net = MixedBayesNet(
             nodes=tuple(cfg["nodes"]),
             edges=tuple((a, b) for a, b in cfg["edges"]),
@@ -151,8 +145,6 @@ def healthcare_model():
             "graph": graph,
             "ranges": {name: tuple(cfg["intervention_ranges"][name]) for name in treatments},
         }
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed bundled network config: {exc}") from exc
     return net, roles
 
 

@@ -161,6 +161,8 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
     derived from (seed, dataset seed, source, free node) so results do not
     depend on the order queries are issued in."""
     _check_level(level)
+    if method not in ("dcorr", "pearson"):
+        raise UsageError(f"unknown independence test {method!r}")
 
     def dcorr_rows(ds, sources, free):
         return [sum(1 << b for b in free if test_independence(

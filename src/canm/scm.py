@@ -12,27 +12,18 @@ m, seed).
 """
 from __future__ import annotations
 
-import json
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-from .graph import Dag, topological_order
-from .util import chol_factor
+from .errors import UsageError, malformed
+from .graph import Dag, node_index, topological_order
+from .util import chol_factor, read_json, write_json
 
 PSD_EIG_FLOOR = -1e-9
 SYM_TOL = 1e-12
-
-
-def _node_index(node) -> int:
-    """A node index: JSON object keys are strings of digits, anything else
-    must be an integer (operator.index rejects 1.9 where int() truncates)."""
-    try:
-        return int(node) if isinstance(node, str) else operator.index(node)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"node indices must be integers, got {node!r}") from exc
 
 
 def _norm_linear(linear):
@@ -41,7 +32,7 @@ def _norm_linear(linear):
     items = linear.items() if hasattr(linear, "items") else linear
     out = {}
     for node, coeff in items:
-        node = _node_index(node)
+        node = node_index(node)
         if node in out:
             raise UsageError(f"duplicate linear term for node {node}")
         out[node] = float(coeff)
@@ -56,7 +47,7 @@ def _norm_pairwise(pairwise):
     ]
     out = {}
     for (p, q), coeff in items:
-        p, q = sorted((_node_index(p), _node_index(q)))
+        p, q = sorted((node_index(p), node_index(q)))
         if p == q:
             raise UsageError(f"pairwise term must reference two distinct nodes, got ({p}, {q})")
         if (p, q) in out:
@@ -72,6 +63,7 @@ class StructuralFunction:
     ``linear`` maps parent -> coefficient, ``pairwise`` maps an unordered
     parent pair -> coefficient. Accepts dicts at construction and normalizes
     to sorted tuples so evaluation order (and hence float rounding) is fixed.
+    Every coefficient must be finite.
     """
 
     intercept: float = 0.0
@@ -82,6 +74,9 @@ class StructuralFunction:
         object.__setattr__(self, "intercept", float(self.intercept))
         object.__setattr__(self, "linear", _norm_linear(self.linear))
         object.__setattr__(self, "pairwise", _norm_pairwise(self.pairwise))
+        coeffs = [self.intercept, *(c for _, c in self.linear), *(c for *_, c in self.pairwise)]
+        if not all(map(math.isfinite, coeffs)):
+            raise UsageError("structural function coefficients must be finite")
 
     def referenced(self) -> frozenset:
         nodes = {p for p, _ in self.linear}
@@ -112,18 +107,15 @@ class StructuralFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructuralFunction":
-        try:
+        with malformed("structural function JSON"):
             return cls(obj.get("intercept", 0.0), obj.get("linear", {}),
                        obj.get("pairwise", []))
-        except UsageError:
-            raise
-        except (TypeError, ValueError) as exc:  # e.g. a pairwise entry of two values
-            raise UsageError(f"malformed structural function JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Mean and covariance of the joint noise (U_1..U_n, U_Y)."""
+    """Mean and covariance of the joint noise (U_1..U_n, U_Y): finite, the
+    covariance symmetric and PSD."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -133,6 +125,8 @@ class NoiseSpec:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (len(mean), len(mean)):
             raise UsageError(f"cov shape {cov.shape} does not match mean length {len(mean)}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise UsageError("noise mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > SYM_TOL:
             raise UsageError("noise covariance must be symmetric")
         eigmin = float(np.linalg.eigvalsh(cov)[0])
@@ -287,7 +281,7 @@ def parse_targets(spec, n: int) -> frozenset:
             return frozenset(range(n))
         spec = text.split(",")
     try:
-        targets = frozenset(map(_node_index, spec))
+        targets = frozenset(map(node_index, spec))
     except TypeError as exc:  # spec is not iterable
         raise UsageError(f"targets must be integer node indices: {exc}") from exc
     if targets and (min(targets) < 0 or max(targets) >= n):
@@ -473,7 +467,7 @@ def anm_to_json(anm: ConfoundedAnm) -> dict:
 
 
 def anm_from_json(obj: dict) -> ConfoundedAnm:
-    try:
+    with malformed("model JSON"):
         return ConfoundedAnm(
             Dag.from_json(obj["graph"]),
             tuple(StructuralFunction.from_json(fn) for fn in obj["functions"]),
@@ -481,82 +475,68 @@ def anm_from_json(obj: dict) -> ConfoundedAnm:
             NoiseSpec(np.asarray(obj["noise_mean"]), np.asarray(obj["noise_cov"])),
             tuple(bool(v) for v in obj.get("independent_flags", [])),
         )
-    except KeyError as exc:
-        raise UsageError(f"malformed model JSON: missing {exc}") from exc
 
 
 def save_anm(anm: ConfoundedAnm, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(anm_to_json(anm), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, anm_to_json(anm))
 
 
 def load_anm(path) -> ConfoundedAnm:
-    with open(path) as fh:
-        return anm_from_json(json.load(fh))
+    return anm_from_json(read_json(path))
 
 
 # Rows formatted per write: bounds the text held in memory for large m.
 _ROW_BLOCK = 1024
 
 
-def _dataset_paths(csv_path, meta_path):
+def _sidecar_path(csv_path) -> str:
+    """The JSON sidecar of a dataset CSV: ``<name>.meta.json`` next to
+    ``<name>.csv``."""
     csv_path = str(csv_path)
-    if meta_path is None:
-        base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-        meta_path = base + ".meta.json"
-    return csv_path, meta_path
+    return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".meta.json"
 
 
 def save_dataset(ds: InterventionalDataset, csv_path, meta_path=None) -> None:
-    """CSV (header X1..Xn,Y) plus a JSON sidecar describing the regime.
+    """CSV (header X1..Xn,Y) plus a JSON sidecar describing the regime, at
+    ``_sidecar_path(csv_path)``, where ``load_dataset`` looks for it. No
+    caller passes ``meta_path``; perfbench's tracer reads it by name.
 
     Every value is written as ``%.17g``, which round-trips a float64 exactly.
     """
-    csv_path, meta_path = _dataset_paths(csv_path, meta_path)
+    csv_path = str(csv_path)
+    if meta_path is None:
+        meta_path = _sidecar_path(csv_path)
     row = ",".join(["%.17g"] * (ds.n + 1)) + "\n"
     with open(csv_path, "w") as fh:
         fh.write(",".join([f"X{i + 1}" for i in range(ds.n)] + ["Y"]) + "\n")
         for start in range(0, ds.m, _ROW_BLOCK):
             block = ds.data[start:start + _ROW_BLOCK]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-    meta = {
-        "targets": sorted(ds.targets),
-        "policy": ds.value_policy,
-        "seed": int(ds.seed),
-        "m": int(ds.m),
-    }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, {"targets": sorted(ds.targets), "policy": ds.value_policy,
+                           "seed": int(ds.seed), "m": int(ds.m)})
 
 
-def _dataset_head(csv_path, meta_path):
-    """Paths, n from the CSV header and the checked sidecar of a saved
-    dataset; no row is parsed."""
-    csv_path, meta_path = _dataset_paths(csv_path, meta_path)
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    try:
+def _dataset_head(csv_path):
+    """n from the CSV header and the checked sidecar of a saved dataset; no
+    row is parsed."""
+    meta_path = _sidecar_path(csv_path)
+    meta = read_json(meta_path)
+    with malformed(f"dataset sidecar {meta_path}"):
         meta = {key: meta[key] for key in ("targets", "policy", "seed", "m")}
         meta["seed"], meta["m"] = operator.index(meta["seed"]), operator.index(meta["m"])
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed dataset sidecar {meta_path}: {exc!r}") from exc
-    with open(csv_path) as fh:
+    with open(csv_path, errors="replace") as fh:  # a non-UTF-8 byte fails the row parse
         n = fh.readline().count(",")
     if n < 1:
         raise UsageError(f"dataset {csv_path} has no X1..Xn,Y header")
-    return csv_path, meta_path, n, meta
+    return n, meta
 
 
-def load_dataset(csv_path, meta_path=None) -> InterventionalDataset:
+def load_dataset(csv_path) -> InterventionalDataset:
     """Parse a dataset written by ``save_dataset``; its rows must match the
     header's n and the sidecar's m."""
-    csv_path, meta_path, n, meta = _dataset_head(csv_path, meta_path)
-    try:
+    n, meta = _dataset_head(csv_path)
+    with malformed(f"dataset {csv_path}"):
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise UsageError(f"malformed dataset {csv_path}: {exc}") from exc
     if data.size == 0:
         data = data.reshape(0, n + 1)
     if data.shape != (meta["m"], n + 1):
@@ -565,9 +545,9 @@ def load_dataset(csv_path, meta_path=None) -> InterventionalDataset:
     return InterventionalDataset(meta["targets"], meta["policy"], data, meta["seed"])
 
 
-def open_dataset(csv_path, meta_path=None) -> LazyDataset:
+def open_dataset(csv_path) -> LazyDataset:
     """A handle on a saved dataset: the sidecar and the CSV header are read
     now, so targets, n and m are known and checked; the rows are parsed by
     ``load_dataset`` on first read of any other attribute."""
-    csv_path, meta_path, n, meta = _dataset_head(csv_path, meta_path)
-    return LazyDataset(n, meta["targets"], meta["m"], lambda: load_dataset(csv_path, meta_path))
+    n, meta = _dataset_head(csv_path)
+    return LazyDataset(n, meta["targets"], meta["m"], lambda: load_dataset(csv_path))

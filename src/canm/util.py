@@ -1,11 +1,12 @@
-"""Small shared helpers: seed derivation, covariance repair, and a
-fork-parallel map."""
+"""Small shared helpers: seed derivation, covariance repair, the JSON file
+reader and writer, and a fork-parallel map."""
 from __future__ import annotations
 
 import concurrent.futures
 import ctypes
 import functools
 import hashlib
+import json
 import multiprocessing
 import os
 import threading
@@ -33,6 +34,23 @@ def derive_seed(master: int, *parts) -> int:
             digest = hashlib.blake2s(str(p).encode(), digest_size=4).digest()
             keys.append(int.from_bytes(digest, "big"))
     return int(np.random.SeedSequence(keys).generate_state(1)[0])
+
+
+def write_json(path, obj) -> None:
+    """Write obj as every canm JSON file is written: indent 1, sorted keys
+    and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The parsed document in a JSON file. A file that is not JSON raises
+    ``json.JSONDecodeError``, one that is not UTF-8 too: undecodable bytes
+    read as U+FFFD, which no JSON token outside a string accepts. Build
+    from the document under ``errors.malformed``."""
+    with open(path, errors="replace") as fh:
+        return json.load(fh)
 
 
 def repair_psd(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

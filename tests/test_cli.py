@@ -7,13 +7,14 @@ import pytest
 from canm import scm
 from canm.cli import run_cli
 from canm.discovery import core_intervention_plan
-from canm.estimation import fit_model, save_model
+from canm.estimation import AceQuery, ace, fit_model, save_model
 from canm.fixtures import fig_g1
 from canm.graph import Dag
 from canm.scm import (
     ConfoundedAnm,
     NoiseSpec,
     StructuralFunction,
+    anm_to_json,
     load_dataset,
     random_anm,
     sample,
@@ -372,9 +373,9 @@ def disc_dir(tmp_path, capsys, monkeypatch):
                 "--out", str(disc)], capsys)[0] == 0
     parsed = []
 
-    def counting_load(csv_path, meta_path=None):
+    def counting_load(csv_path):
         parsed.append(csv_path)
-        return load_dataset(csv_path, meta_path)
+        return load_dataset(csv_path)
 
     monkeypatch.setattr(scm, "load_dataset", counting_load)
     return disc, parsed
@@ -473,13 +474,18 @@ def test_out_of_range_parameter_is_usage_error(argv, word, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def chain_model(tmp_path, regressor):
-    """A 3-node chain model fitted from the core plan and saved as JSON."""
+def chain_fit(regressor):
+    """A 3-node chain model fitted from the core plan."""
     anm = random_anm(Dag(3, {(0, 1), (1, 2)}), seed=3)
     datasets = [sample(anm, s, "std_normal", 300, k) for k, s in
                 enumerate(core_intervention_plan(anm.graph))]
+    return fit_model(anm.graph, datasets, regressor=regressor)
+
+
+def chain_model(tmp_path, regressor):
+    """``chain_fit`` saved as JSON."""
     path = tmp_path / f"{regressor}.json"
-    save_model(fit_model(anm.graph, datasets, regressor=regressor), path)
+    save_model(chain_fit(regressor), path)
     return path
 
 
@@ -488,12 +494,15 @@ def ace_line(path, capsys):
                 "--mc", "1000", "--seed", "4"], capsys)
 
 
-# ace lines of the saved chain models, computed before model JSON was checked
+# ace lines of the chain models; a saved model reads back exactly, so the
+# CLI line is the in-memory model's
 @pytest.mark.parametrize("regressor,line", [
-    ("basis", "X1,1,0.78925892906320294,0.029189355135515956\n"),
-    ("knn", "X1,1,0.68772122933780755,0.032053527647189106\n"),
+    pytest.param("basis", "X1,1,0.78925892906320305,0.029189355135515967\n", id="basis"),
+    pytest.param("knn", "X1,1,0.68772122933780755,0.032053527647189099\n", id="knn"),
 ])
 def test_valid_saved_model_gives_the_same_ace_line(regressor, line, tmp_path, capsys):
+    est = ace(chain_fit(regressor), AceQuery(3, {0: 1.0}), 1000, 4)
+    assert f"X1,1,{est.value:.17g},{est.stderr:.17g}\n" == line
     assert ace_line(chain_model(tmp_path, regressor), capsys) == (0, line, "")
 
 
@@ -528,6 +537,13 @@ CORRUPT_MODELS = {
                       "not PSD"),
     "knn-short-train-y": ("knn", lambda obj: obj["equations"][1]["train_y"].pop(), "shapes"),
     "knn-center-shape": ("knn", _set("equations", 1, "center", []), "shapes"),
+    # non-finite numbers, which would make ace print nan
+    "nan-outcome-intercept": ("basis", _set("outcome_equation", "form", "intercept", float("nan")),
+                              "finite"),
+    "infinite-coefficient": ("basis", _set("equations", 1, "form", "linear", "0", float("inf")),
+                             "finite"),
+    "knn-nan-train-y": ("knn", _set("equations", 1, "train_y", 0, float("nan")), "finite"),
+    "knn-zero-scale": ("knn", _set("equations", 1, "scale", [0.0]), "positive scale"),
 }
 
 
@@ -540,3 +556,80 @@ def test_corrupt_model_json_is_usage_error(regressor, edit, word, tmp_path, caps
     code, out, err = ace_line(path, capsys)
     assert code == 2
     assert out == "" and err.count("\n") == 1 and word in err
+
+
+def test_fit_knn_k_below_one_is_usage_error(disc_dir, tmp_path, capsys):
+    disc, _ = disc_dir
+    out_path = tmp_path / "model.json"
+    code, out, err = run(["fit", "--from-dir", str(disc), "--regressor", "knn", "--knn-k", "0",
+                          "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "knn_k" in err
+    assert not out_path.exists()
+
+
+def _anm_doc(edit=None):
+    obj = anm_to_json(random_anm(Dag(2, {(0, 1)}), seed=3))
+    if edit is not None:
+        edit(obj)
+    return obj
+
+
+def _reader(kind, tmp_path):
+    """The file that a command reads for one kind of canm input, and the
+    command; every other file the command reads is valid."""
+    Dag(2, {(0, 1)}).save(tmp_path / "graph.json")
+    graph = str(tmp_path / "graph.json")
+    return {
+        "anm": ("anm.json", ["sample", "--anm", str(tmp_path / "anm.json"), "--seed", "1",
+                             "--samples", "20", "--out", str(tmp_path / "ds.csv")]),
+        "graph": ("graph.json", ["plan", "--graph", graph]),
+        "report": ("report.json", ["fit", "--from-dir", str(tmp_path),
+                                   "--out", str(tmp_path / "model.json")]),
+        "targets": ("t.json", ["check", "--graph", graph, "--targets-file",
+                               str(tmp_path / "t.json")]),
+    }[kind]
+
+
+# (kind of file, its document, a word of the error): documents of the wrong
+# shape, float node indices, non-finite noise
+MALFORMED_FILES = {
+    "anm-list": ("anm", [], "malformed"),
+    "anm-functions-int": ("anm", _anm_doc(_set("functions", 5)), "malformed"),
+    "anm-ragged-noise-cov": ("anm", _anm_doc(_set("noise_cov", 1, [0.0])), "malformed"),
+    "anm-noise-mean-text": ("anm", _anm_doc(_set("noise_mean", "abc")), "malformed"),
+    "anm-flags-int": ("anm", _anm_doc(_set("independent_flags", 3)), "malformed"),
+    "anm-functions-as-lists": ("anm", _anm_doc(
+        lambda obj: obj.update(functions=[list(fn.values()) for fn in obj["functions"]])),
+        "malformed"),
+    "graph-short-edge": ("graph", {"n": 2, "edges": [[0]]}, "malformed"),
+    "report-count-text": ("report", {"dataset_count": "x", "interventions_used": 1, "n": 2},
+                          "malformed"),
+    "report-list": ("report", [], "malformed"),
+    "targets-file-int": ("targets", 5, "malformed"),
+    "graph-float-n": ("graph", {"n": 3.7, "edges": [[0, 1]]}, "integer"),
+    "graph-float-edge": ("graph", {"n": 3, "edges": [[0.9, 1.2]]}, "integer"),
+    "anm-nan-noise-mean": ("anm", _anm_doc(_set("noise_mean", 0, float("nan"))),
+                           "noise mean and covariance"),
+    "anm-infinite-noise-cov": ("anm", _anm_doc(_set("noise_cov", 1, 1, float("inf"))),
+                               "noise mean and covariance"),
+}
+
+
+@pytest.mark.parametrize("kind,doc,word", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_file_is_usage_error(kind, doc, word, tmp_path, capsys):
+    name, argv = _reader(kind, tmp_path)
+    (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and word in err
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe\x00{}"], ids=["text", "not-utf-8"])
+@pytest.mark.parametrize("kind", ["anm", "graph", "report", "targets"])
+def test_file_that_is_not_json_is_io_error(kind, text, tmp_path, capsys):
+    name, argv = _reader(kind, tmp_path)
+    (tmp_path / name).write_bytes(text)
+    code, out, err = run(argv, capsys)
+    assert code == 5
+    assert out == "" and err.count("\n") == 1 and "io" in err

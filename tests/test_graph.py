@@ -68,6 +68,11 @@ class TestDagInvariants:
         g = Dag(4, {(0, 1), (2, 3)})
         assert Dag.from_json(g.to_json()) == g
 
+    @pytest.mark.parametrize("n,edges", [(3.7, [(0, 1)]), (3, [(0.9, 1.2)]), (3, [(0, 1.0)])])
+    def test_rejects_float_node_indices(self, n, edges):
+        with pytest.raises(UsageError, match="integer"):
+            Dag(n, edges)
+
 
 class TestTopologicalOrder:
     def test_empty_graph_index_order(self):

@@ -217,6 +217,10 @@ class TestPearsonBatch:
 
 
 class TestDataTestPairs:
+    def test_unknown_method_is_refused_at_construction(self):
+        with pytest.raises(UsageError, match="unknown independence test"):
+            data_ci_test("bogus")
+
     def test_dcorr_batch_is_the_scalar_test_per_pair(self):
         rng = np.random.default_rng(23)
         data = rng.standard_normal((40, 5))

@@ -36,6 +36,17 @@ class TestTypes:
         with pytest.raises(UsageError):
             NoiseSpec(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("mean,cov", [([np.nan, 0.0], np.eye(2)),
+                                          ([0.0, 0.0], [[1.0, 0.0], [0.0, np.inf]])])
+    def test_noise_must_be_finite(self, mean, cov):
+        with pytest.raises(UsageError, match="finite"):
+            NoiseSpec(mean, cov)
+
+    @pytest.mark.parametrize("args", [(np.nan,), (0.0, {0: np.inf}), (0.0, {}, {(0, 1): -np.inf})])
+    def test_function_coefficients_must_be_finite(self, args):
+        with pytest.raises(UsageError, match="finite"):
+            StructuralFunction(*args)
+
     def test_function_must_reference_parents(self):
         g = Dag(2, {(0, 1)})
         bad = (StructuralFunction(0.0, {1: 1.0}), StructuralFunction())
@@ -259,6 +270,8 @@ def test_sidecar_m_must_match_the_rows(meta_m, tmp_path):
     lambda csv, meta: meta.write_text(meta.read_text().replace("2\n ]", "3\n ]")),
     lambda csv, meta: csv.write_text(""),
     lambda csv, meta: csv.write_text(csv.read_text() + "1,2\n"),
+    lambda csv, meta: csv.write_bytes(b"\xff\xfe,\x00,\x01,Y\n" + b"1,2,3,4\n" * 20),
+    lambda csv, meta: csv.write_bytes(csv.read_bytes() + b"\xff,\xfe,0,0\n"),
 ])
 def test_malformed_dataset_files_are_usage_errors(edit, tmp_path):
     _, csv, meta = _saved(tmp_path)
