@@ -138,6 +138,13 @@ def _handle(sampler, n: int, m: int, seed: int, regime: Regime) -> LazyDataset:
     return LazyDataset(n, regime.targets, m, lambda: _draw(sampler, m, seed, regime))
 
 
+def _check_samples(m: int) -> None:
+    """Refuse a per-regime sample count below one, as ``scm.sample`` would on
+    the first draw; a test that reads only targets never draws."""
+    if m < 1:
+        raise UsageError("m must be >= 1")
+
+
 def _reads_data(test) -> bool:
     """``test.needs_data`` of a test that follows the protocol of
     ``canm.independence``; UsageError for anything else."""
@@ -175,6 +182,7 @@ def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
     """
     if n < 1:
         raise UsageError("n must be >= 1")
+    _check_samples(m_per_int)
     _reads_data(test)  # refuse a test outside the protocol before any draw
     entries = [(r, _handle(sampler, n, m_per_int, seed, r))
                for r in _separating_regimes(n, frozenset(), (), 0) if r.randomized]
@@ -207,6 +215,7 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     worker count. A test that reads only targets runs here and draws
     nothing.
     """
+    _check_samples(m_per_int)
     plan = plan_discovery(n, d_max, alpha, seed)
     collected = tuple(_handle(sampler, n, m_per_int, seed, r) for r in plan)
     rounds: dict = {}  # iteration -> indices of its tested regimes

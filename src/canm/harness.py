@@ -178,7 +178,9 @@ def run_discovery_experiment(cfg: ExperimentConfig) -> str:
 
     Every replication of every cell is one ``util.fork_map`` item. Its work
     is the numbers its planned regimes hold for a data test, and none for
-    an exact oracle, which draws nothing."""
+    an exact oracle, which draws nothing. A data test is built once here
+    before the fork: an unknown test or a level outside (0, 1) fails once,
+    and a Pearson test's kernel is loaded once for every worker."""
     if cfg.kind == "discovery-n":
         grid = [(n, cfg.sample_sizes[0]) for n in cfg.n_values]
     elif cfg.kind == "discovery-samples":
@@ -188,6 +190,7 @@ def run_discovery_experiment(cfg: ExperimentConfig) -> str:
     reps = cfg.replications
     work = 0
     if cfg.test != "oracle":
+        data_ci_test(cfg.test, cfg.level, cfg.permutations)
         work = sum(reps * (intervention_budget(n, cfg.d_max, cfg.alpha) + 1) * m * (n + 1)
                    for n, m in grid)
     items = [(n, m, rep) for n, m in grid for rep in range(reps)]

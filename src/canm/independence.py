@@ -11,26 +11,24 @@ The test protocol: every factory here returns a test with
 intervened treatment of ``ds``) whose bit b is set iff the free treatment b
 (one outside ``ds.targets``) tests dependent on it, and ``test.needs_data``,
 false when the test reads only the dataset's targets. ``test(ds, a, b)`` is
-bit b of a batch of one; it refuses an ``a`` not intervened or a ``b`` not
-free with ``UsageError``. Discovery calls only ``batch`` and reads
-``needs_data``; a plain callable ``(ds, a, b) -> bool`` is not a test and
-discovery refuses it with ``UsageError``.
+bit b of a batch of one, computed for that pair alone; it refuses an ``a``
+not intervened or a ``b`` not free with ``UsageError``. Discovery calls
+only ``batch`` and reads ``needs_data``; a plain callable
+``(ds, a, b) -> bool`` is not a test and discovery refuses it with
+``UsageError``.
 
 ``test_independence(method="pearson")`` and the Pearson batch share one
 p-value kernel, ``_pearson_p_value``, on Student's t distribution function
-``scipy.special.stdtr``. ``scipy.special`` is the only SciPy module this
-package loads at import.
+``scipy.special.stdtr``. Only a Pearson test loads ``scipy.special``:
+``data_ci_test("pearson")`` when it is built and ``test_independence`` when
+it computes a Pearson p-value. A test built before ``util.fork_map`` forks
+has it loaded in every worker; oracle and dcorr tests load no SciPy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-# Imported at module level, not lazily: pearson_batch runs in forked workers
-# and every fork_map call starts a fresh pool, so a lazy import would be paid
-# again in each worker of each call (about 0.3 s). Imported before the fork,
-# it is shared by every worker.
-from scipy import special
 
 from .errors import UsageError
 from .graph import Dag, closure_bits
@@ -72,12 +70,19 @@ def _validate_pair(xs: np.ndarray, ys: np.ndarray) -> None:
         raise UsageError("constant input vector")
 
 
+def _stdtr():
+    """``scipy.special.stdtr``, imported on the first call (about 25 MB and
+    0.15 s that no other canm path needs)."""
+    from scipy.special import stdtr
+    return stdtr
+
+
 def _pearson_p_value(r, df: int):
     """Two-sided t-test p-value of the correlation(s) ``r`` over ``df``
     degrees of freedom. ``1 - r**2`` is clipped at 1e-15, so a perfect
     correlation gives a finite t. Works on a float or an array."""
     t = np.abs(r) * np.sqrt(df / np.clip(1.0 - r * r, 1e-15, None))
-    return 2.0 * special.stdtr(df, -t)
+    return 2.0 * _stdtr()(df, -t)
 
 
 def _check_level(level) -> None:
@@ -119,17 +124,21 @@ def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVE
 def _dependence_test(rows, needs_data: bool):
     """A test that follows the protocol of this module around ``rows(ds,
     sources, free)``, which gets checked sources and the free treatments."""
-    def batch(ds, sources):
+    def check_sources(ds, sources):
         if not all(a in ds.targets for a in sources):
             raise UsageError(f"dependence test sources {list(sources)} must be intervened "
                              f"treatments 0..{ds.n - 1}, under do({sorted(ds.targets)})")
+
+    def batch(ds, sources):
+        check_sources(ds, sources)
         return rows(ds, sources, [b for b in range(ds.n) if b not in ds.targets])
 
     def test(ds, a: int, b: int) -> bool:
         if b in ds.targets or not 0 <= b < ds.n:
             raise UsageError(f"dependence test b={b} must be one of the treatments "
                              f"0..{ds.n - 1} outside do({sorted(ds.targets)})")
-        return bool(batch(ds, [a])[0] >> b & 1)
+        check_sources(ds, [a])
+        return bool(rows(ds, [a], [b])[0] >> b & 1)
 
     test.batch, test.needs_data = batch, needs_data
     return test
@@ -163,6 +172,8 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
     _check_level(level)
     if method not in ("dcorr", "pearson"):
         raise UsageError(f"unknown independence test {method!r}")
+    if method == "pearson":
+        _stdtr()  # loaded here, in the builder, so forked workers inherit it
 
     def dcorr_rows(ds, sources, free):
         return [sum(1 << b for b in free if test_independence(

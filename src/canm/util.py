@@ -114,29 +114,38 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@functools.cache
-def _blas_thread_setters() -> tuple:
-    """The thread-count setter of every OpenBLAS loaded in this process,
-    found through the libraries mapped in /proc/self/maps."""
+def _openblas_paths() -> tuple:
+    """Every OpenBLAS library mapped into this process, read from
+    /proc/self/maps: numpy's, and SciPy's once ``scipy.special`` or
+    another SciPy extension is loaded. Empty where the file is unreadable."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({parts[5].strip() for parts in (line.split(None, 5) for line in fh)
-                            if len(parts) == 6 and "openblas" in parts[5].lower()})
+            return tuple(sorted({parts[5].strip() for parts in (line.split(None, 5) for line in fh)
+                                 if len(parts) == 6 and "openblas" in parts[5].lower()}))
     except OSError:
         return ()
-    setters = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_SETTERS:
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                setters.append(set_threads)
-                break
-    return tuple(setters)
+
+
+@functools.cache
+def _blas_setter(path):
+    """The thread-count setter an OpenBLAS library exports, or None."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for name in _BLAS_SETTERS:
+        if hasattr(lib, name):
+            set_threads = getattr(lib, name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return set_threads
+    return None
+
+
+def _blas_thread_setters() -> tuple:
+    """The thread-count setter of every OpenBLAS mapped into this process
+    now. The maps are read on every call, since a library loaded after an
+    earlier fork (SciPy's, with the first Pearson test) must be pinned too."""
+    return tuple(s for s in map(_blas_setter, _openblas_paths()) if s is not None)
 
 
 @functools.cache
@@ -191,12 +200,13 @@ def fork_map(fn, items, work: int) -> list:
     fewer than two workers, and when forking is unsafe or unpinnable: no
     ``fork`` start method, another live Python thread (forking it would
     copy held locks), a caller that is itself a worker (``in_worker``), or
-    no OpenBLAS thread setter to call. Each worker sets the loaded OpenBLAS
-    to one thread so workers do not oversubscribe the cores, and raises
-    glibc's mmap and trim thresholds (``_WORKER_MALLOC``) so it reuses
-    freed heap pages for its per-call arrays; where the C library has no
-    ``mallopt`` it keeps the defaults. Neither setting touches the calling
-    process, which is the user's.
+    no OpenBLAS thread setter to call. Each worker sets every OpenBLAS
+    mapped at the time of this call (numpy's, and SciPy's once a Pearson
+    test has loaded ``scipy.special``) to one thread so workers do not
+    oversubscribe the cores, and raises glibc's mmap and trim thresholds
+    (``_WORKER_MALLOC``) so it reuses freed heap pages for its per-call
+    arrays; where the C library has no ``mallopt`` it keeps the defaults.
+    Neither setting touches the calling process, which is the user's.
 
     fn and the items reach the workers through the fork itself, never
     pickled, so closures work; only item indices and results cross a pipe.
@@ -210,10 +220,10 @@ def fork_map(fn, items, work: int) -> list:
     if (workers < 2 or work < FORK_MIN_WORK or in_worker()
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()
-            or not _blas_thread_setters()):
+            or not (setters := _blas_thread_setters())):
         return [fn(item) for item in items]
     with concurrent.futures.ProcessPoolExecutor(
             workers, multiprocessing.get_context("fork"), _start_worker,
-            ((fn, items), _blas_thread_setters(), _mallopt())) as pool:
+            ((fn, items), setters, _mallopt())) as pool:
         chunk = -(-len(items) // (4 * workers))
         return list(pool.map(_run_item, range(len(items)), chunksize=chunk))

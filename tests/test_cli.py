@@ -474,6 +474,16 @@ def test_out_of_range_parameter_is_usage_error(argv, word, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_oracle_discover_without_samples_writes_nothing(tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    save_anm(random_anm(Dag(3, {(0, 1)}), seed=3), anm)
+    code, out, err = run(["discover", "--anm", str(anm), "--test", "oracle", "--samples", "0",
+                          "--seed", "4", "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "m must be >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def chain_fit(regressor):
     """A 3-node chain model fitted from the core plan."""
     anm = random_anm(Dag(3, {(0, 1), (1, 2)}), seed=3)

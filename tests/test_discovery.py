@@ -436,6 +436,15 @@ class TestObservableGraph:
         with pytest.raises(UsageError):
             learn_observable_graph(sampler, test, 3, 1, 3.0, 1, seed=0)
 
+    @pytest.mark.parametrize("m", [0, -7])
+    def test_rejects_fewer_than_one_sample_with_an_oracle(self, m):
+        g = Dag(3, {(0, 1)})
+        sampler, test = oracle_setup(g, 16)
+        with pytest.raises(UsageError, match="m must be >= 1"):
+            learn_observable_graph(sampler, test, 3, 2, 3.0, m, seed=0)
+        with pytest.raises(UsageError, match="m must be >= 1"):
+            learn_transitive_closure(sampler, test, 3, m, seed=0)
+
     def test_round_trip_via_directory(self, tmp_path):
         g = random_dag(4, 3, seed=15)
         anm = random_anm(g, seed=16)

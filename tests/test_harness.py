@@ -301,9 +301,26 @@ class TestWorkerCount:
         assert parent_calls[2] == (0, 0)
 
     def test_usage_error_in_a_replication_keeps_its_class(self, tmp_path, forking):
+        # too few samples for a statistical test: only the replication's
+        # first test batch finds out
         cfg = ExperimentConfig(seed=18, out_dir=str(tmp_path), **dict(
-            self.CONFIGS[1], level=float("nan")))
-        with pytest.raises(UsageError, match="level") as info:
+            self.CONFIGS[1], sample_sizes=(10,)))
+        with pytest.raises(UsageError, match="at least 20 samples") as info:
             run_discovery_experiment(cfg)
         # raised in a worker: the cause carries the worker's traceback
         assert "_discovery_shd" in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("test", "bogus", "unknown independence test"),
+        ("level", 5.0, "level"),
+    ])
+    def test_bad_test_or_level_is_refused_before_any_fork(self, tmp_path, monkeypatch,
+                                                          field, value, match):
+        def no_fork(fn, items, work):
+            raise AssertionError("fork_map called")
+
+        monkeypatch.setattr(harness, "fork_map", no_fork)
+        cfg = ExperimentConfig(seed=19, out_dir=str(tmp_path), **dict(
+            self.CONFIGS[1], **{field: value}))
+        with pytest.raises(UsageError, match=match):
+            run_discovery_experiment(cfg)

@@ -1,6 +1,7 @@
-"""Import cost: loading canm pulls in scipy.special only. scipy.stats and
-scipy.spatial each take a large share of a process's start-up, so every
-``canm`` command would pay for them."""
+"""Import cost: loading canm pulls in no SciPy module. scipy.special comes
+with the first Pearson test, scipy.spatial with the first k-NN tree; each
+takes a large share of a process's start-up, so a ``canm`` command that
+needs neither must not pay for it."""
 import json
 import os
 import subprocess
@@ -10,8 +11,21 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 PROBE = """
 import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 import canm, canm.cli, canm.harness
-at_import = sorted(m for m in sys.modules if m.startswith("scipy."))
+report = {"at_import": scipy_modules()}
+
+from canm.graph import Dag
+from canm.independence import data_ci_test, oracle_ci_test
+oracle_ci_test(Dag(2, {(0, 1)}))
+report["after_oracle"] = scipy_modules()
+data_ci_test("dcorr")
+report["after_dcorr"] = scipy_modules()
+data_ci_test("pearson")
+report["after_pearson"] = "scipy.special" in sys.modules
 
 import numpy as np
 from canm.estimation import KnnEquation
@@ -19,7 +33,8 @@ rng = np.random.default_rng(0)
 x = rng.standard_normal((50, 2))
 eq = KnnEquation(0, frozenset({0, 1}), 5, x, x.sum(axis=1), np.zeros(2), np.ones(2))
 eq.predict(x[:3])
-print(json.dumps({"at_import": at_import, "after_knn": "scipy.spatial" in sys.modules}))
+report["after_knn"] = "scipy.spatial" in sys.modules
+print(json.dumps(report))
 """
 
 
@@ -32,9 +47,12 @@ def probe():
 
 def test_import_loads_neither_scipy_stats_nor_spatial():
     report = probe()
-    loaded = report["at_import"]
-    assert "scipy.special" in loaded
-    for heavy in ("scipy.stats", "scipy.spatial"):
-        assert not any(m == heavy or m.startswith(heavy + ".") for m in loaded), heavy
+    assert report["at_import"] == []
     # the k-NN regressor loads scipy.spatial when it builds its first tree
     assert report["after_knn"]
+
+
+def test_only_a_pearson_test_loads_scipy_special():
+    report = probe()
+    assert report["after_oracle"] == [] and report["after_dcorr"] == []
+    assert report["after_pearson"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from canm import independence
 from canm.errors import UsageError
 from canm.graph import Dag, random_dag
 from canm.independence import MIN_SAMPLES, data_ci_test, oracle_ci_test
@@ -234,6 +235,21 @@ class TestDataTestPairs:
         assert [bool(rows[a] >> b & 1) for a, b in pairs] == want
         assert [test(ds, a, b) for a, b in pairs] == want
         assert want[0]
+
+    def test_scalar_dcorr_runs_one_permutation_test(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        ds = InterventionalDataset(frozenset({0}), "std_normal", rng.standard_normal((40, 7)), 4)
+        pairs = []
+
+        def counted(xs, ys, **kwargs):
+            pairs.append(kwargs["seed"])
+            return run_test(xs, ys, **kwargs)
+
+        monkeypatch.setattr(independence, "test_independence", counted)
+        test = data_ci_test("dcorr", level=0.05, permutations=20, seed=3)
+        assert test(ds, 0, 4) == run_test(ds.x(0), ds.x(4), method="dcorr", level=0.05,
+                                          permutations=20, seed=derive_seed(3, 4, 0, 4)).dependent
+        assert pairs == [derive_seed(3, 4, 0, 4)]  # five free treatments, one test
 
     @pytest.mark.parametrize("method", ["pearson", "dcorr"])
     @pytest.mark.parametrize("b", [-1, 3, 7])  # 3 and -1 name the outcome column Y

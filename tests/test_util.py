@@ -3,6 +3,7 @@ allocator setting, worker failures and the inline fallbacks."""
 import os
 import platform
 import resource
+import sys
 import threading
 import types
 
@@ -14,6 +15,10 @@ from canm import estimation, scm, util
 from canm.discovery import core_intervention_plan
 from canm.errors import UsageError
 from canm.graph import Dag
+from canm.independence import data_ci_test
+
+# the real setter lookup, before the forking fixture stands in for it
+BLAS_THREAD_SETTERS = util._blas_thread_setters
 
 
 def square_and_pid(i):
@@ -43,6 +48,25 @@ def test_workers_set_blas_to_one_thread(forking, monkeypatch):
     monkeypatch.setattr(util, "_blas_thread_setters", lambda: (calls.append,))
     assert forked_map(lambda i: list(calls), range(2)) == [[1], [1]]
     assert calls == []
+
+
+def test_workers_pin_an_openblas_mapped_after_an_earlier_fork(forking, monkeypatch):
+    # SciPy maps its own OpenBLAS when the first Pearson test loads
+    # scipy.special, which may come after this process first forked
+    mapped, pinned = ["numpy.libs/libscipy_openblas64_.so"], []
+    monkeypatch.setattr(util, "_blas_thread_setters", BLAS_THREAD_SETTERS)
+    monkeypatch.setattr(util, "_openblas_paths", lambda: tuple(mapped))
+    monkeypatch.setattr(util, "_blas_setter",
+                        lambda path: lambda threads: pinned.append((path, threads)))
+    assert forked_map(lambda i: list(pinned), range(2)) == [[(mapped[0], 1)]] * 2
+    mapped.append("scipy.libs/libscipy_openblas.so")
+    assert forked_map(lambda i: list(pinned), range(2)) == [[(path, 1) for path in mapped]] * 2
+    assert pinned == []
+
+
+def test_workers_inherit_the_pearson_kernel(forking):
+    data_ci_test("pearson")
+    assert forked_map(lambda i: "scipy.special" in sys.modules, range(2)) == [True, True]
 
 
 def fake_libc(monkeypatch, returns=1):
