@@ -30,6 +30,7 @@ from .scm import (
     anm_sampler,
     load_anm,
     load_dataset,
+    parse_intervention,
     parse_targets,
     random_anm,
     sample,
@@ -160,28 +161,13 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(text) -> list:
-    """Comma-separated intervention values; each must be a finite number."""
-    try:
-        values = [float(tok) for tok in text.split(",")] if text else []
-        if np.all(np.isfinite(values)):
-            return values
-    except ValueError:
-        pass
-    raise UsageError(f"--values must be comma-separated finite numbers, got {text!r}")
-
-
 def _cmd_ace(args) -> int:
     seed = _require_seed(args)
     model = estimation.load_model(args.model)
-    targets = sorted(parse_targets(args.targets, model.n))
-    values = _parse_values(args.values)
-    if len(values) != len(targets):
-        raise UsageError(f"{len(targets)} targets but {len(values)} values")
-    q = estimation.AceQuery(model.n, dict(zip(targets, values)))
-    est = estimation.ace(model, q, args.mc, seed)
-    label = "+".join(f"X{t + 1}" for t in targets) or "none"
-    vals = ";".join(f"{v:.17g}" for v in values)
+    pinned = parse_intervention(args.targets, args.values, model.n)
+    est = estimation.ace(model, estimation.AceQuery(model.n, pinned), args.mc, seed)
+    label = "+".join(f"X{t + 1}" for t in pinned) or "none"
+    vals = ";".join(f"{v:.17g}" for v in pinned.values())
     print(f"{label},{vals},{est.value:.17g},{est.stderr:.17g}")
     return EXIT_OK
 
@@ -211,16 +197,13 @@ def _cmd_healthcare(args) -> int:
         }, sort_keys=True))
         return EXIT_OK
     seed = _require_seed(args)
-    n = roles["graph"].n
-    targets = sorted(parse_targets(args.targets, n))
-    values = _parse_values(args.values)
     if args.op == "sample":
-        ds = healthcare.healthcare_dataset(net, roles, targets, args.samples, seed)
+        ds = healthcare.healthcare_dataset(net, roles, args.targets, args.samples, seed)
         save_dataset(ds, args.out)
         print(args.out)
         return EXIT_OK
     if args.op == "oracle":
-        est = healthcare.healthcare_oracle(net, roles, targets, values, args.mc, seed)
+        est = healthcare.healthcare_oracle(net, roles, args.targets, args.values, args.mc, seed)
         print(f"{est.value:.17g},{est.stderr:.17g}")
         return EXIT_OK
     raise UsageError(f"unknown healthcare op {args.op!r}")
@@ -351,9 +334,13 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def run_cli(argv) -> int:
+    """Run one command and return its exit code. Numpy floating-point
+    warnings are silenced, in forked workers too, so a failure prints one
+    stderr line; a result that is not finite raises where it is made."""
     try:
-        args = _parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            args = _parse_args(argv)
+            return args.func(args)
     except SystemExit as exc:
         # argparse exits 0 after --help; usage problems raise UsageError
         return int(exc.code or 0)

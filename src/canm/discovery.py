@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError, malformed
-from .graph import Dag, bit_edges, bit_nodes, closure_rows, reduction_bits
+from .graph import Dag, bit_edges, bit_nodes, closure_rows, node_flags, reduction_bits
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
 from .util import derive_seed, fork_map, in_worker, read_json, write_json
@@ -249,15 +249,10 @@ def core_intervention_plan(g: Dag, independent_flags=None) -> tuple:
     entry is dropped.
     """
     n = g.n
-    flags = tuple(independent_flags) if independent_flags else (False,) * n
-    if len(flags) != n:
-        raise UsageError("independent_flags length must equal node count")
+    flags = node_flags(independent_flags, n)
     plan = [frozenset(), frozenset(range(n))]
-    for i in range(n):
-        if flags[i]:
-            continue
-        pa = g.parents(i)
-        if pa and pa not in plan:
+    for i, pa in enumerate(g.parent_sets()):
+        if pa and not flags[i] and pa not in plan:
             plan.append(pa)
     return tuple(plan)
 
@@ -271,9 +266,7 @@ def check_sufficiency(g: Dag, targets_list, independent_flags=None) -> Sufficien
     observational regime.
     """
     n = g.n
-    flags = tuple(independent_flags) if independent_flags else (False,) * n
-    if len(flags) != n:
-        raise UsageError("independent_flags length must equal node count")
+    flags = node_flags(independent_flags, n)
     targets = [parse_targets(s, n) for s in targets_list]
     full = frozenset(range(n))
     has_joint = full in targets

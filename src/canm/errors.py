@@ -19,11 +19,8 @@ class IdentifiabilityError(RuntimeError):
 
 
 class SingularFitError(RuntimeError):
-    """Regression design matrix is rank deficient."""
-
-    def __init__(self, message, features=()):
-        super().__init__(message)
-        self.features = tuple(features)
+    """Regression design matrix is rank deficient; the message names the
+    suspect features."""
 
 
 class NumericalError(RuntimeError):

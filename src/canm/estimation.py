@@ -6,7 +6,10 @@ intervention, each treatment equation from a dataset that randomizes a
 superset of its parents without touching the treatment itself, and the noise
 covariance from observational residuals. Any mean effect E[Y|do(W)] then
 follows by conditioning the jointly Gaussian noise and marginalizing the
-free treatments by Monte Carlo.
+free treatments by Monte Carlo. A query is an ``AceQuery``, whose
+``pinned`` rows carry its intervened values into every evaluation, and an
+estimate is an ``scm.AceEstimate``, built by ``AceEstimate.of`` from the
+Monte-Carlo draws.
 
 Fitted models are immutable; effect queries are pure given a seed.
 """
@@ -19,7 +22,7 @@ import numpy as np
 
 from .discovery import SufficiencyReport, check_sufficiency
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError, malformed
-from .graph import Dag, node_index, topological_order
+from .graph import Dag, node_flags, node_index, topological_order
 from .scm import AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction
 from .util import chol_factor, read_json, repair_psd, write_json
 
@@ -28,23 +31,13 @@ RIDGE_SCALE = 1e-8
 MIN_ROWS_PER_PARAM = 10
 
 
-def _basis_features(x: np.ndarray, parents) -> tuple:
-    """Design matrix [1, x_p ..., x_p * x_q ...] over sorted parents."""
-    ps = sorted(parents)
-    cols = [np.ones(x.shape[0])]
-    names = ["1"]
-    for p in ps:
-        cols.append(x[:, p])
-        names.append(f"x{p}")
-    for i, p in enumerate(ps):
-        for q in ps[i + 1:]:
-            cols.append(x[:, p] * x[:, q])
-            names.append(f"x{p}*x{q}")
-    return np.column_stack(cols), names, ps
-
-
 def _ols(x: np.ndarray, parents, target: np.ndarray) -> StructuralFunction:
-    design, names, ps = _basis_features(x, parents)
+    """Least squares on the basis [1, x_p ..., x_p * x_q ...] over sorted
+    parents: each term is the tuple of the parents it multiplies."""
+    ps = sorted(parents)
+    terms = [(p,) for p in ps] + [(p, q) for i, p in enumerate(ps) for q in ps[i + 1:]]
+    cols = [x[:, t[0]] if len(t) == 1 else x[:, t[0]] * x[:, t[1]] for t in terms]
+    design = np.column_stack([np.ones(x.shape[0])] + cols)
     if target.shape[0] < MIN_ROWS_PER_PARAM * design.shape[1]:
         raise UsageError(
             f"need at least {MIN_ROWS_PER_PARAM * design.shape[1]} rows to fit "
@@ -53,22 +46,15 @@ def _ols(x: np.ndarray, parents, target: np.ndarray) -> StructuralFunction:
     theta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
         scales = np.linalg.norm(design - design.mean(axis=0), axis=0)
-        bad = [names[k] for k in range(1, len(names)) if scales[k] < 1e-10]
+        names = ["*".join(f"x{p}" for p in t) for t in terms]
+        bad = [name for name, scale in zip(names, scales[1:]) if scale < 1e-10]
         raise SingularFitError(
             f"rank-deficient design (rank {rank} < {design.shape[1]}); "
-            f"suspect features: {bad or names[1:]}",
-            features=bad or names[1:],
+            f"suspect features: {bad or names}"
         )
-    linear = {}
-    pairwise = {}
-    k = 1
-    for p in ps:
-        linear[p] = float(theta[k])
-        k += 1
-    for i, p in enumerate(ps):
-        for q in ps[i + 1:]:
-            pairwise[(p, q)] = float(theta[k])
-            k += 1
+    coeffs = dict(zip(terms, map(float, theta[1:])))
+    linear = {t[0]: c for t, c in coeffs.items() if len(t) == 1}
+    pairwise = {t: c for t, c in coeffs.items() if len(t) == 2}
     return StructuralFunction(float(theta[0]), linear, pairwise)
 
 
@@ -187,8 +173,7 @@ class EstimatedModel:
         object.__setattr__(self, "eq", tuple(self.eq))
         object.__setattr__(self, "fitted_from",
                            tuple(frozenset(s) for s in self.fitted_from))
-        flags = tuple(bool(v) for v in self.independent_flags) or (False,) * n
-        object.__setattr__(self, "independent_flags", flags)
+        object.__setattr__(self, "independent_flags", node_flags(self.independent_flags, n))
 
     @property
     def n(self) -> int:
@@ -225,8 +210,13 @@ class AceQuery:
         done = self.intervened_nodes
         return tuple(i for i in range(self.n) if i not in done)
 
-    def values(self) -> dict:
-        return dict(self.intervened)
+    def pinned(self, m: int) -> np.ndarray:
+        """m column-major rows over all n treatments: the intervened values
+        set, every other entry 0."""
+        x = np.zeros((m, self.n), order="F")
+        for k, v in self.intervened:
+            x[:, k] = v
+        return x
 
 
 def fit_outcome_equation(joint_ds: InterventionalDataset, regressor: str = "basis",
@@ -246,7 +236,7 @@ def fit_treatment_equation(i: int, parents, ds: InterventionalDataset,
                            regressor: str = "basis", knn_k: int = 10):
     """Fit treatment i on its parent features from a dataset that randomizes
     a superset of the parents and leaves i untouched."""
-    parents = frozenset(int(p) for p in parents)
+    parents = frozenset(map(node_index, parents))
     if i in ds.targets:
         raise IdentifiabilityError(f"dataset intervenes on treatment {i} itself")
     if not parents <= ds.targets:
@@ -255,14 +245,6 @@ def fit_treatment_equation(i: int, parents, ds: InterventionalDataset,
             f"{sorted(parents)} of treatment {i}"
         )
     return _fit_equation(i, parents, ds.treatments(), ds.x(i), regressor, knn_k)
-
-
-def _fit_from_observational(i: int, parents, obs_ds: InterventionalDataset,
-                            regressor: str, knn_k: int):
-    # independent-noise treatments regress on observed parent values; the
-    # exogeneity of U_i is exactly what the independence flag asserts
-    return _fit_equation(i, frozenset(parents), obs_ds.treatments(), obs_ds.x(i),
-                         regressor, knn_k)
 
 
 def estimate_noise_cov(obs_ds: InterventionalDataset, eqs, eq_y) -> np.ndarray:
@@ -302,7 +284,7 @@ def fit_model(graph: Dag, datasets, independent_flags=None, regressor: str = "ba
     sizes = sorted({ds.n for ds in datasets} - {n})
     if sizes:
         raise UsageError(f"graph has {n} treatments but datasets have {sizes}")
-    flags = tuple(independent_flags) if independent_flags else (False,) * n
+    flags = node_flags(independent_flags, n)
     targets_list = [ds.targets for ds in datasets]
     report = identifiable(graph, targets_list, flags)
     if not report.sufficient:
@@ -321,7 +303,10 @@ def fit_model(graph: Dag, datasets, independent_flags=None, regressor: str = "ba
     eqs = []
     for i in range(n):
         if flags[i]:
-            eqs.append(_fit_from_observational(i, pa[i], obs_ds, regressor, knn_k))
+            # the exogeneity of U_i, which the flag asserts, lets treatment i
+            # regress on its observed parents
+            eqs.append(_fit_equation(i, pa[i], obs_ds.treatments(), obs_ds.x(i),
+                                     regressor, knn_k))
         else:
             eqs.append(fit_treatment_equation(i, pa[i], datasets[report.witness[i]],
                                               regressor, knn_k))
@@ -374,9 +359,7 @@ def conditional_ace(model: EstimatedModel, q: AceQuery, x_marg) -> float:
     x_marg = np.asarray(x_marg, dtype=float).reshape(-1)
     if len(x_marg) != len(marg):
         raise UsageError(f"expected {len(marg)} conditioning values, got {len(x_marg)}")
-    row = np.zeros((1, model.n))
-    for k, v in q.intervened:
-        row[0, k] = v
+    row = q.pinned(1)
     for j, node in enumerate(marg):
         row[0, node] = x_marg[j]
     base = float(model.eq_y.predict(row)[0])
@@ -406,26 +389,22 @@ def ace(model: EstimatedModel, q: AceQuery, m_mc: int = 100_000, seed: int = 0) 
     _gate(model, q)
     marg = q.marginalized
     if not marg:
-        row = np.zeros((1, model.n))
-        for k, v in q.intervened:
-            row[0, k] = v
-        return AceEstimate(float(model.eq_y.predict(row)[0]), 0.0)
-
-    sigma_oo, sigma_yo = _marginal_blocks(model, marg)
-    weights = _correction_weights(sigma_oo, sigma_yo)
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((m_mc, len(marg))) @ chol_factor(sigma_oo).T
-
-    x = np.zeros((m_mc, model.n), order="F")  # column-major for the equations' reads
-    for k, v in q.intervened:
-        x[:, k] = v
-    order = [v for v in topological_order(model.graph) if v in set(marg)]
-    col = {node: j for j, node in enumerate(marg)}
-    for node in order:
-        x[:, node] = model.eq[node].predict(x) + noise[:, col[node]]
-    draws = model.eq_y.predict(x) + noise @ weights
-    se = float(draws.std(ddof=1) / np.sqrt(m_mc)) if m_mc > 1 else 0.0
-    return AceEstimate(float(draws.mean()), se)
+        est = AceEstimate(float(model.eq_y.predict(q.pinned(1))[0]), 0.0)
+    else:
+        sigma_oo, sigma_yo = _marginal_blocks(model, marg)
+        weights = _correction_weights(sigma_oo, sigma_yo)
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((m_mc, len(marg))) @ chol_factor(sigma_oo).T
+        x = q.pinned(m_mc)  # column-major for the equations' reads
+        order = [v for v in topological_order(model.graph) if v in set(marg)]
+        col = {node: j for j, node in enumerate(marg)}
+        for node in order:
+            x[:, node] = model.eq[node].predict(x) + noise[:, col[node]]
+        est = AceEstimate.of(model.eq_y.predict(x) + noise @ weights)
+    if not (np.isfinite(est.value) and np.isfinite(est.stderr)):
+        raise NumericalError(f"effect estimate {est.value} with stderr {est.stderr} "
+                             "is not finite")
+    return est
 
 
 def model_to_json(model: EstimatedModel) -> dict:
@@ -476,7 +455,7 @@ def model_from_json(obj: dict) -> EstimatedModel:
         eq_y = _equation_from_json(obj["outcome_equation"])
         sigma = np.asarray(obj["sigma_hat"], dtype=float)
         fitted_from = tuple(frozenset(s) for s in obj["fitted_from"])
-        flags = tuple(bool(v) for v in obj.get("independent_flags", []))
+        flags = node_flags(obj.get("independent_flags"), graph.n)
     if len(eqs) != graph.n:
         raise UsageError(f"graph has {graph.n} treatments but the model lists "
                          f"{len(eqs)} equations")

@@ -26,6 +26,16 @@ def node_index(node) -> int:
         raise UsageError(f"node indices must be integers, got {node!r}") from exc
 
 
+def node_flags(flags, n: int) -> tuple:
+    """One bool per node 0..n-1, such as the independent-noise flags; None
+    or an empty sequence means every flag is False, any other length is a
+    UsageError."""
+    flags = tuple(map(bool, flags)) if flags is not None else ()
+    if flags and len(flags) != n:
+        raise UsageError(f"expected one flag per node, {n}, got {len(flags)} flags")
+    return flags or (False,) * n
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph over ``n`` nodes with edge set {(i, j): i -> j}."""
@@ -46,12 +56,6 @@ class Dag:
                 raise UsageError(f"edge ({a}, {b}) out of range for n={self.n}")
         # acyclicity check; raises on failure
         topological_order(self)
-
-    def parents(self, i: int) -> frozenset:
-        return frozenset(a for a, b in self.edges if b == i)
-
-    def children(self, i: int) -> frozenset:
-        return frozenset(b for a, b in self.edges if a == i)
 
     def parent_sets(self) -> tuple:
         pa = [set() for _ in range(self.n)]

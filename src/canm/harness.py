@@ -229,7 +229,7 @@ def run_sufficiency_experiment(cfg: ExperimentConfig) -> str:
         if check_sufficiency(g, targets).sufficient:
             found = 0
         for k in range(1, k_max + 1):
-            s = frozenset(int(i) for i in range(n) if rng.random() < include_prob)
+            s = frozenset(i for i in range(n) if rng.random() < include_prob)
             targets.append(s)
             if found is None and check_sufficiency(g, targets).sufficient:
                 found = k
@@ -247,7 +247,13 @@ def run_sufficiency_experiment(cfg: ExperimentConfig) -> str:
     return path
 
 
-def _query_label(subset, n: int) -> str:
+def _subsets(n: int) -> list:
+    """Every subset of the n treatments, by size and then lexicographically:
+    the order of the query rows."""
+    return [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+
+
+def _query_label(subset) -> str:
     return "+".join(f"X{i + 1}" for i in sorted(subset)) if subset else "none"
 
 
@@ -267,8 +273,7 @@ def run_mae_experiment(cfg: ExperimentConfig) -> tuple:
     if n > 10:
         raise UsageError(f"mae scores every query subset of the n treatments, 2^{n} = "
                          f"{2 ** n:,} per replication at n={n}; n must be <= 10")
-    subsets = [frozenset(c) for r in range(n + 1)
-               for c in itertools.combinations(range(n), r)]
+    subsets = _subsets(n)
     sums = {(m, s): 0.0 for m in cfg.sample_sizes for s in subsets}
     gate_failures = 0
     scored, calls = [], []  # per ace call: (m, subset, exact value), (model, query, MC seed)
@@ -299,9 +304,9 @@ def run_mae_experiment(cfg: ExperimentConfig) -> tuple:
     for (m, s, exact), value in zip(scored, values):
         sums[(m, s)] += abs(value - exact)
     rows = [
-        (m, _query_label(s, n), sums[(m, s)] / cfg.replications, gate_failures)
+        (m, _query_label(s), sums[(m, s)] / cfg.replications, gate_failures)
         for m in cfg.sample_sizes
-        for s in sorted(subsets, key=lambda t: (len(t), sorted(t)))
+        for s in subsets
     ]
     text = _csv(cfg, ["samples", "query", "mae", "gate_failures"], rows)
     path = _write(cfg, "mae.csv", text)
@@ -342,8 +347,7 @@ def run_healthcare_experiment(cfg: ExperimentConfig) -> tuple:
     n = graph.n
     m = cfg.sample_sizes[-1]
     plan = [frozenset(), frozenset({0, 1}), frozenset(range(n))]
-    subsets = [frozenset(c) for r in range(n + 1)
-               for c in itertools.combinations(range(n), r)]
+    subsets = _subsets(n)
     sums = {s: 0.0 for s in subsets}
     for rep in range(cfg.replications):
         seed = derive_seed(cfg.seed, "hc", rep)
@@ -366,10 +370,7 @@ def run_healthcare_experiment(cfg: ExperimentConfig) -> tuple:
                 cfg.oracle_draws, derive_seed(seed, "oracle", sorted(s)),
             )
             sums[s] += abs(est.value - truth.value)
-    rows = [
-        (m, _query_label(s, n), sums[s] / cfg.replications)
-        for s in sorted(subsets, key=lambda t: (len(t), sorted(t)))
-    ]
+    rows = [(m, _query_label(s), sums[s] / cfg.replications) for s in subsets]
     text = _csv(cfg, ["samples", "query", "mae"], rows)
     path = _write(cfg, "healthcare.csv", text)
     return path, rows

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UsageError, malformed
 from .graph import Dag
-from .scm import AceEstimate, InterventionalDataset
+from .scm import AceEstimate, InterventionalDataset, parse_intervention, parse_targets
 from .util import derive_seed, read_json
 
 TABLE_TOL = 1e-9
@@ -156,7 +156,7 @@ def healthcare_dataset(net: MixedBayesNet, roles: dict, targets, m: int,
     range (drawn first, in treatment order, so the draw is reproducible).
     """
     treatments = roles["treatments"]
-    targets = frozenset(int(t) for t in targets)
+    targets = parse_targets(targets, len(treatments))
     rng = np.random.default_rng(derive_seed(seed, "values"))
     do = {}
     for idx in sorted(targets):
@@ -172,12 +172,6 @@ def healthcare_oracle(net: MixedBayesNet, roles: dict, targets, values, m_mc: in
                       seed: int) -> AceEstimate:
     """Monte-Carlo ground truth E[outcome | do(targets = values)]."""
     treatments = roles["treatments"]
-    targets = sorted(int(t) for t in targets)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if len(values) != len(targets):
-        raise UsageError("value count does not match target count")
-    do = {treatments[t]: float(v) for t, v in zip(targets, values)}
-    sampled = net.sample(m_mc, seed, do=do)
-    y = sampled[roles["outcome"]]
-    se = float(y.std(ddof=1) / np.sqrt(m_mc)) if m_mc > 1 else 0.0
-    return AceEstimate(float(y.mean()), se)
+    pinned = parse_intervention(targets, values, len(treatments))
+    sampled = net.sample(m_mc, seed, do={treatments[t]: v for t, v in pinned.items()})
+    return AceEstimate.of(sampled[roles["outcome"]])

@@ -8,7 +8,9 @@ ground-truth effect oracles (Monte-Carlo, and exact for linear treatment
 equations) live here.
 
 Models are immutable; sampling is a pure function of (model, targets, policy,
-m, seed).
+m, seed). ``parse_intervention`` is the one reader of do(targets = values)
+for every oracle and query, and ``AceEstimate.of`` the one Monte-Carlo mean
+and standard error.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, malformed
-from .graph import Dag, node_index, topological_order
+from .graph import Dag, node_flags, node_index, topological_order
 from .util import chol_factor, read_json, write_json
 
 PSD_EIG_FLOOR = -1e-9
@@ -167,9 +169,7 @@ class ConfoundedAnm:
         object.__setattr__(self, "f", tuple(self.f))
         if len(self.f) != n:
             raise UsageError(f"expected {n} treatment functions, got {len(self.f)}")
-        flags = tuple(bool(v) for v in self.independent_flags) or (False,) * n
-        if len(flags) != n:
-            raise UsageError("independent_flags length must equal treatment count")
+        flags = node_flags(self.independent_flags, n)
         object.__setattr__(self, "independent_flags", flags)
         if self.noise.dim != n + 1:
             raise UsageError(f"noise dimension must be n+1={n + 1}, got {self.noise.dim}")
@@ -268,6 +268,13 @@ class AceEstimate:
     value: float
     stderr: float
 
+    @classmethod
+    def of(cls, draws: np.ndarray) -> "AceEstimate":
+        """The mean of Monte-Carlo draws, with stderr 0 for a single draw."""
+        m = len(draws)
+        se = float(draws.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        return cls(float(draws.mean()), se)
+
 
 def parse_targets(spec, n: int) -> frozenset:
     """Accept 'all', an iterable of indices, or a comma string like '0,2'."""
@@ -287,6 +294,23 @@ def parse_targets(spec, n: int) -> frozenset:
     if targets and (min(targets) < 0 or max(targets) >= n):
         raise UsageError(f"target out of range for n={n}")
     return targets
+
+
+def parse_intervention(targets, values, n: int) -> dict:
+    """do(targets = values) as {node: value}: the targets read by
+    ``parse_targets``, the values (a sequence, or a comma string like
+    '1.5,-2') paired with them in ascending node order. UsageError unless
+    there is one finite value per target."""
+    nodes = sorted(parse_targets(targets, n))
+    tokens = (values.split(",") if values.strip() else []) if isinstance(values, str) else values
+    try:
+        parsed = np.asarray(tokens, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        parsed = None
+    if parsed is None or len(parsed) != len(nodes) or not np.all(np.isfinite(parsed)):
+        raise UsageError(f"do({nodes}) takes finite numbers as values, one per target; "
+                         f"got {values!r}")
+    return dict(zip(nodes, parsed.tolist()))
 
 
 def _policy_numbers(policy: str, prefix: str) -> list:
@@ -359,15 +383,9 @@ def true_ace_oracle(anm: ConfoundedAnm, w_targets, w_values, m_mc: int = 100_000
     """Ground-truth Monte-Carlo mean of Y under do(w_targets = w_values)."""
     if m_mc < 1:
         raise UsageError("m_mc must be >= 1")
-    targets = parse_targets(w_targets, anm.n)
-    w_values = np.asarray(w_values, dtype=float).reshape(-1)
-    if len(w_values) != len(targets):
-        raise UsageError("value count does not match target count")
-    policy = "fixed:" + ",".join(repr(float(v)) for v in w_values) if targets else "std_normal"
-    ds = sample(anm, targets, policy, m_mc, seed)
-    y = ds.y()
-    se = float(y.std(ddof=1) / np.sqrt(m_mc)) if m_mc > 1 else 0.0
-    return AceEstimate(float(y.mean()), se)
+    pinned = parse_intervention(w_targets, w_values, anm.n)
+    policy = "fixed:" + ",".join(map(repr, pinned.values())) if pinned else "std_normal"
+    return AceEstimate.of(sample(anm, pinned.keys(), policy, m_mc, seed).y())
 
 
 def true_ace_exact(anm: ConfoundedAnm, w_targets, w_values) -> AceEstimate:
@@ -381,17 +399,11 @@ def true_ace_exact(anm: ConfoundedAnm, w_targets, w_values) -> AceEstimate:
     treatment equation with pairwise terms: use ``true_ace_oracle`` there.
     """
     n = anm.n
-    targets = parse_targets(w_targets, n)
-    w_values = np.asarray(w_values, dtype=float).reshape(-1)
-    if len(w_values) != len(targets):
-        raise UsageError("value count does not match target count")
-    if not np.all(np.isfinite(w_values)):
-        raise UsageError("intervention values must be finite")
+    pinned = parse_intervention(w_targets, w_values, n)
     for i, fn in enumerate(anm.f):
         if fn.pairwise:
             raise UsageError(f"f_{i} has pairwise terms; the exact oracle needs linear "
                              "treatment equations")
-    pinned = dict(zip(sorted(targets), w_values))
     mu = np.zeros(n)
     load = np.zeros((n, n + 1))  # X_i - mu_i = load[i] @ (U - E[U])
     for i in anm.topo():
@@ -473,7 +485,7 @@ def anm_from_json(obj: dict) -> ConfoundedAnm:
             tuple(StructuralFunction.from_json(fn) for fn in obj["functions"]),
             StructuralFunction.from_json(obj["outcome_function"]),
             NoiseSpec(np.asarray(obj["noise_mean"]), np.asarray(obj["noise_cov"])),
-            tuple(bool(v) for v in obj.get("independent_flags", [])),
+            obj.get("independent_flags"),
         )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .graph import node_index
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class SeparatingSetSystem:
     sets: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(frozenset(int(v) for v in s) for s in self.sets))
+        object.__setattr__(self, "sets", tuple(frozenset(map(node_index, s)) for s in self.sets))
         for s in self.sets:
             if any(v < 0 or v >= self.n for v in s):
                 raise UsageError("set element out of range")

@@ -1,13 +1,16 @@
 """CLI surface: subcommands, exit codes, config composition, determinism."""
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from canm import scm
 from canm.cli import run_cli
 from canm.discovery import core_intervention_plan
-from canm.estimation import AceQuery, ace, fit_model, save_model
+from canm.estimation import AceQuery, ace, fit_model, model_to_json, save_model
 from canm.fixtures import fig_g1
 from canm.graph import Dag
 from canm.scm import (
@@ -643,3 +646,50 @@ def test_file_that_is_not_json_is_io_error(kind, text, tmp_path, capsys):
     code, out, err = run(argv, capsys)
     assert code == 5
     assert out == "" and err.count("\n") == 1 and "io" in err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_process(argv):
+    """canm in a fresh interpreter, so numpy warnings and the output of forked
+    workers reach the stderr that is counted."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "canm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def overflowing_file(kind, tmp_path):
+    """An anm.json with one linear coefficient of 1e308, or a k-NN model.json
+    whose outcome ``train_y`` holds 1e308 at the training row nearest the
+    query do(X1 = 1) below; every value in either file is finite."""
+    if kind == "anm":
+        doc = anm_to_json(random_anm(Dag(4, {(0, 1), (1, 2)}), seed=3))
+        doc["functions"][1]["linear"]["0"] = 1e308
+    else:
+        model = chain_fit("knn")
+        eq = model.eq_y
+        query = (np.array([1.0, *eq.center[1:]]) - eq.center) / eq.scale
+        nearest = np.argmin((((eq.train_x - eq.center) / eq.scale - query) ** 2).sum(axis=1))
+        doc = model_to_json(model)
+        doc["outcome_equation"]["train_y"][nearest] = 1e308
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,kind,code", [
+    (["sample", "--out", "t.csv"], "anm", 2),
+    (["discover", "--test", "pearson", "--samples", "1000", "--out", "d"], "anm", 2),
+    (["ace", "--targets", "0", "--values", "1", "--mc", "1000"], "model", 4),
+], ids=["sample", "discover", "ace"])
+def test_overflow_ends_in_one_stderr_line(argv, kind, code, tmp_path):
+    """Numpy overflow warnings never reach stderr, in forked workers neither,
+    and an effect estimate that overflows is a numerical error."""
+    argv = [argv[0], f"--{kind}", overflowing_file(kind, tmp_path), "--seed", "1", *argv[1:]]
+    if "--out" in argv:
+        argv[-1] = str(tmp_path / argv[-1])
+    got, out, err = run_process(argv)
+    assert got == code
+    assert out == "" and err.count("\n") == 1 and err.startswith("error:")

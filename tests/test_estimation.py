@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from canm.discovery import core_intervention_plan
+from canm.discovery import check_sufficiency, core_intervention_plan
 from canm.errors import IdentifiabilityError, UsageError
 from canm.estimation import (
     AceQuery,
+    EstimatedModel,
     ace,
     conditional_ace,
     estimate_noise_cov,
@@ -331,6 +332,34 @@ class TestIdentifiable:
         targets = [frozenset(), frozenset(range(4))]
         assert not identifiable(g, targets).sufficient
         assert identifiable(g, targets, (True,) * 4).sufficient
+
+
+def test_treatment_equation_parents_must_be_integers():
+    m3, _ = linear_pair_b()
+    ds = sample(m3, {0}, "std_normal", 500, seed=42)
+    with pytest.raises(UsageError, match="integer"):
+        fit_treatment_equation(1, {0.7}, ds)
+
+
+# Every reader of independence flags, called with one flag too many on the
+# two-node pair model.
+FLAG_READERS = {
+    "ConfoundedAnm": lambda anm, flags: ConfoundedAnm(anm.graph, anm.f, anm.f_y, anm.noise,
+                                                      flags),
+    "EstimatedModel": lambda anm, flags: EstimatedModel(
+        anm.graph, (), None, np.eye(3), (), flags),
+    "core_intervention_plan": lambda anm, flags: core_intervention_plan(anm.graph, flags),
+    "check_sufficiency": lambda anm, flags: check_sufficiency(anm.graph, [[]], flags),
+    "fit_model": lambda anm, flags: pipeline(anm, 500, seed=43, independent_flags=flags),
+}
+
+
+@pytest.mark.parametrize("reader", FLAG_READERS)
+def test_every_flag_reader_wants_one_flag_per_node(reader):
+    m3, _ = linear_pair_b()
+    with pytest.raises(UsageError, match="one flag per node"):
+        FLAG_READERS[reader](m3, (False, False, True))
+    assert FLAG_READERS[reader](m3, np.array([0, 0])) is not None
 
 
 def test_query_node_indices_must_be_integers():

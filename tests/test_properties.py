@@ -293,3 +293,32 @@ def test_scalar_pearson_p_value_matches_scipy_stats(pair):
     assert verdict.statistic == r
     want = pearson_scalar_p_value(xs, ys)
     assert np.float64(verdict.p_value).tobytes() == np.float64(want).tobytes()
+
+
+@st.composite
+def interventions(draw):
+    """(n, targets, values): targets as a list in any order, a frozenset or a
+    comma string, with one finite value per target as a list or an array."""
+    n = draw(st.integers(1, 6))
+    nodes = draw(st.lists(st.integers(0, n - 1), unique=True))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(nodes), max_size=len(nodes)))
+    spell = draw(st.sampled_from([list, frozenset, lambda t: ",".join(map(str, t))]))
+    return n, spell(nodes), draw(st.sampled_from([list, np.asarray]))(values)
+
+
+@PROPERTY
+@given(interventions())
+def test_parse_intervention_pairs_values_in_ascending_node_order(case):
+    """``parse_intervention`` pairs the values with the targets sorted, as
+    every reader of an intervention did before it, and the ``fixed:``
+    policy that ``true_ace_oracle`` builds from it keeps its bytes."""
+    n, targets, values = case
+    pinned = scm.parse_intervention(targets, values, n)
+    assert pinned == dict(zip(sorted(scm.parse_targets(targets, n)), values))
+    floats = np.asarray(values, dtype=float).reshape(-1)
+    policy = "fixed:" + ",".join(repr(float(v)) for v in floats) if pinned else "std_normal"
+    drawn = InterventionalDataset(pinned.keys(), policy, np.zeros((3, n + 1)), 1)
+    with mock.patch.object(scm, "sample", return_value=drawn) as spy:
+        scm.true_ace_oracle(random_anm(Dag(n), seed=0), targets, values, 3, seed=1)
+    assert spy.call_args.args[2] == policy

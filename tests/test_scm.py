@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from canm import scm
+from canm.cli import run_cli
+from canm.discovery import core_intervention_plan
 from canm.errors import UsageError
+from canm.estimation import fit_model, save_model
 from canm.fixtures import linear_pair_a, linear_pair_b, product_outcome_pair
 from canm.graph import Dag, random_dag
+from canm.healthcare import healthcare_dataset, healthcare_model, healthcare_oracle
 from canm.scm import (
     ConfoundedAnm,
     InterventionalDataset,
@@ -331,3 +335,62 @@ def test_lazy_dataset_draws_once():
     assert (lazy.seed, lazy.n, lazy.value_policy) == (30, 3, "std_normal")
     assert np.array_equal(lazy.data, want.data)
     assert calls == [1]
+
+
+# do(targets = values) that every reader of an intervention must refuse:
+# (targets, values) as a library call takes them
+BAD_INTERVENTIONS = {
+    "non-integral-target": ([1.9], [0.5]),
+    "out-of-range-target": ([7], [0.5]),
+    "nan-value": ([1], [float("nan")]),
+    "count-mismatch": ([1], [0.5, 1.0]),
+}
+ANM4 = random_anm(random_dag(4, 2, seed=61), seed=62)
+# the readers, all over four treatments; healthcare_dataset draws its values
+# itself, so it takes only the target cases
+INTERVENTION_READERS = {
+    "true_ace_exact": lambda t, v: true_ace_exact(ANM4, t, v),
+    "true_ace_oracle": lambda t, v: true_ace_oracle(ANM4, t, v, 100, seed=1),
+    "healthcare_oracle": lambda t, v: healthcare_oracle(*healthcare_model(), t, v, 100, 1),
+    "healthcare_dataset": lambda t, v: healthcare_dataset(*healthcare_model(), t, 50, 1),
+    "canm ace": ["ace", "--mc", "100"],
+    "canm healthcare": ["healthcare", "--op", "oracle", "--mc", "100"],
+}
+@pytest.fixture(scope="module")
+def anm4_model(tmp_path_factory):
+    datasets = [sample(ANM4, s, "std_normal", 300, seed=k)
+                for k, s in enumerate(core_intervention_plan(ANM4.graph))]
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(fit_model(ANM4.graph, datasets), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("reader,case", [
+    (reader, case) for reader in INTERVENTION_READERS for case in BAD_INTERVENTIONS
+    if reader != "healthcare_dataset" or case.endswith("target")
+])
+def test_every_intervention_reader_refuses_a_bad_intervention(reader, case, anm4_model,
+                                                              capsys):
+    targets, values = BAD_INTERVENTIONS[case]
+    call = INTERVENTION_READERS[reader]
+    if callable(call):
+        with pytest.raises(UsageError):
+            call(targets, values)
+        return
+    text = ",".join(map(str, targets)), ",".join(map(str, values))
+    argv = call + ["--targets", text[0], "--values", text[1], "--seed", "1"]
+    if reader == "canm ace":
+        argv += ["--model", anm4_model]
+    code = run_cli(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: usage:")
+
+
+def test_parse_intervention_reads_comma_strings_like_parse_targets():
+    assert scm.parse_intervention("2,0", "1.5, -2", 3) == {0: 1.5, 2: -2.0}
+    assert scm.parse_intervention("", "", 3) == {}
+    assert scm.parse_intervention("all", np.arange(3.0), 3) == {0: 0.0, 1: 1.0, 2: 2.0}
+    for values in ("abc", "1,", None, [[1.0], [2.0, 3.0]]):
+        with pytest.raises(UsageError, match="finite numbers"):
+            scm.parse_intervention("0", values, 3)

@@ -46,3 +46,8 @@ def test_size_bound_and_vectorized_check(n):
 def test_size_bound_enforced_by_type():
     with pytest.raises(UsageError):
         SeparatingSetSystem(2, tuple(frozenset({k % 2}) for k in range(5)))
+
+
+def test_set_elements_must_be_integers():
+    with pytest.raises(UsageError, match="integer"):
+        SeparatingSetSystem(3, [[0.9]])
