@@ -43,7 +43,6 @@ from .estimation import (
     fit_model,
     fit_outcome_equation,
     fit_treatment_equation,
-    identifiable,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ result, so ``plan_discovery`` lists all its regimes up front; the tests of
 each iteration are independent of every other's and form one
 ``util.fork_map`` item; only the fold over iterations is sequential. Every
 planned regime is kept as a dataset handle, because the same draws double
-as the estimation inputs.
+as the estimation inputs. A data test reads a fresh draw of each regime it
+tests and drops it, so a handle draws only when a caller reads it.
 
 Also here: the direct intervention plan read off a known graph and the
 sufficiency predicate that decides whether a collection of intervention
@@ -29,7 +30,7 @@ from .errors import UsageError, malformed
 from .graph import Dag, bit_edges, bit_nodes, closure_rows, node_flags, reduction_bits
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
-from .util import derive_seed, fork_map, in_worker, read_json, write_json
+from .util import derive_seed, fork_map, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -156,14 +157,12 @@ def _reads_data(test) -> bool:
 
 def _raw_edges(sampler, test, n: int, m: int, seed: int, entries) -> list:
     """Raw dependence edges over (regime, handle) entries, as the OR of the
-    test's rows per randomized node. A data test reads the handle, which
-    keeps what it draws, or in a ``fork_map`` worker, whose copy of the
-    handle dies with it, a fresh draw dropped once tested. A test that reads
-    only targets makes the handle draw nothing."""
-    fresh = test.needs_data and in_worker()
+    test's rows per randomized node. A data test reads a fresh draw of each
+    regime, dropped once tested, so no handle keeps it; a test that reads
+    only targets reads the handle, which draws nothing."""
     raw = [0] * n
     for regime, handle in entries:
-        ds = _draw(sampler, m, seed, regime) if fresh else handle
+        ds = _draw(sampler, m, seed, regime) if test.needs_data else handle
         sources = sorted(regime.randomized)
         for a, row in zip(sources, test.batch(ds, sources)):
             raw[a] |= row
@@ -205,12 +204,10 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
 
     Every entry of ``collected`` is a ``LazyDataset`` that draws its rows,
     with the planned seed, on first read. The test must follow the protocol
-    of ``canm.independence``. A data test (``test.needs_data``) reads the
-    regimes it tests, one ``util.fork_map`` item per iteration, whose work
-    is the numbers those regimes hold. Run here, the handles keep what it
-    drew; in a ``fork_map`` worker, this run's or an enclosing one's (a
-    harness replication), it tests fresh draws that the handles do not
-    keep, so a worker never holds its plan's data. The fold over the
+    of ``canm.independence``. A data test (``test.needs_data``) reads a
+    fresh draw of each regime it tests and drops it, one ``util.fork_map``
+    item per iteration, whose work is the numbers those regimes hold; the
+    handles keep none of it, wherever the test ran. The fold over the
     iterations stays sequential, so the result does not depend on the
     worker count. A test that reads only targets runs here and draws
     nothing.

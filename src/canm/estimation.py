@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discovery import SufficiencyReport, check_sufficiency
+from .discovery import check_sufficiency
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError, malformed
 from .graph import Dag, node_flags, node_index, topological_order
 from .scm import AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction
@@ -202,12 +202,8 @@ class AceQuery:
             raise UsageError("intervention values must be finite")
 
     @property
-    def intervened_nodes(self) -> frozenset:
-        return frozenset(k for k, _ in self.intervened)
-
-    @property
     def marginalized(self) -> tuple:
-        done = self.intervened_nodes
+        done = {k for k, _ in self.intervened}
         return tuple(i for i in range(self.n) if i not in done)
 
     def pinned(self, m: int) -> np.ndarray:
@@ -266,12 +262,6 @@ def estimate_noise_cov(obs_ds: InterventionalDataset, eqs, eq_y) -> np.ndarray:
     return repair_psd(np.atleast_2d(cov))
 
 
-def identifiable(graph: Dag, available_targets, independent_flags=None) -> SufficiencyReport:
-    """Whether every effect is identifiable from the given targets; flagged
-    treatments fall back to the observational regime for their equation."""
-    return check_sufficiency(graph, available_targets, independent_flags)
-
-
 def fit_model(graph: Dag, datasets, independent_flags=None, regressor: str = "basis",
               knn_k: int = 10) -> EstimatedModel:
     """Run the whole fitting pipeline over a dataset collection.
@@ -286,7 +276,7 @@ def fit_model(graph: Dag, datasets, independent_flags=None, regressor: str = "ba
         raise UsageError(f"graph has {n} treatments but datasets have {sizes}")
     flags = node_flags(independent_flags, n)
     targets_list = [ds.targets for ds in datasets]
-    report = identifiable(graph, targets_list, flags)
+    report = check_sufficiency(graph, targets_list, flags)
     if not report.sufficient:
         raise IdentifiabilityError(
             f"insufficient intervention targets; missing witnesses for "
@@ -341,7 +331,7 @@ def _correction_weights(sigma_oo: np.ndarray, sigma_yo: np.ndarray) -> np.ndarra
 def _gate(model: EstimatedModel, q: AceQuery) -> None:
     if q.n != model.n:
         raise UsageError(f"query is over {q.n} treatments, model has {model.n}")
-    report = identifiable(model.graph, model.fitted_from, model.independent_flags)
+    report = check_sufficiency(model.graph, model.fitted_from, model.independent_flags)
     if not report.sufficient:
         raise IdentifiabilityError(
             f"model provenance fails the identifiability gate; missing "

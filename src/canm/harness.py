@@ -119,6 +119,13 @@ class ExperimentConfig:
             raise UsageError(f"unknown experiment kind {self.kind!r}")
         if self.replications < 1:
             raise UsageError("replications must be >= 1")
+        for name in ("sample_sizes", "n_values"):
+            if not getattr(self, name):
+                raise UsageError(f"{name} must not be empty")
+        if self.d_max < 1:
+            raise UsageError("d_max must be >= 1")
+        if self.max_interventions < 0:
+            raise UsageError("max_interventions must be >= 0")
         if any(b <= a for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
             raise UsageError("sample_sizes must be strictly increasing")
 

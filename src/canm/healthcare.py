@@ -40,16 +40,12 @@ class MixedBayesNet:
                     raise UsageError(f"negative probability in CPT of {name}")
         for name, spec in self.continuous.items():
             var = spec["var"]
-            values = var["values"].values() if var["type"] == "table" else (
-                var["values"] if var["type"] == "bins" else [var["value"]]
-            )
+            values = var["values"] if var["type"] == "bins" else [var["value"]]
             if any(v <= 0 for v in values):
                 raise UsageError(f"non-positive variance for {name}")
 
     def _mean(self, spec, values, m):
         kind = spec["type"]
-        if kind == "const":
-            return np.full(m, float(spec["value"]))
         if kind == "table":
             keys = values[spec["on"]].astype(int)
             table = {int(k): float(v) for k, v in spec["values"].items()}
@@ -65,10 +61,6 @@ class MixedBayesNet:
         kind = spec["type"]
         if kind == "const":
             return np.full(m, float(spec["value"]) ** 0.5)
-        if kind == "table":
-            keys = values[spec["on"]].astype(int)
-            table = {int(k): float(v) for k, v in spec["values"].items()}
-            return np.sqrt(np.array([table[k] for k in keys]))
         if kind == "bins":
             src = values[spec["on"]]
             idx = np.searchsorted(np.asarray(spec["edges"], dtype=float), src)

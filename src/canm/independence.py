@@ -61,12 +61,11 @@ def _dcor_from_centered(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(dcov2, 0.0) / denom))
 
 
-def _validate_pair(xs: np.ndarray, ys: np.ndarray) -> None:
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise UsageError("xs and ys must be 1-d vectors of equal length")
-    if len(xs) < MIN_SAMPLES:
+def _check_columns(block: np.ndarray) -> None:
+    """Refuse sample columns too short or constant for a statistical test."""
+    if len(block) < MIN_SAMPLES:
         raise UsageError(f"statistical backends need at least {MIN_SAMPLES} samples")
-    if np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0:
+    if np.any(np.ptp(block, axis=0) == 0.0):
         raise UsageError("constant input vector")
 
 
@@ -85,9 +84,11 @@ def _pearson_p_value(r, df: int):
     return 2.0 * _stdtr()(df, -t)
 
 
-def _check_level(level) -> None:
+def _check_parameters(level, permutations) -> None:
     if not 0.0 < level < 1.0:
         raise UsageError(f"level must lie strictly between 0 and 1, got {level}")
+    if not permutations >= 1:
+        raise UsageError(f"permutations must be >= 1, got {permutations}")
 
 
 def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVEL,
@@ -98,10 +99,14 @@ def test_independence(xs, ys, method: str = "dcorr", level: float = DEFAULT_LEVE
     p-value and detects arbitrary nonlinear dependence; ``pearson`` is the
     fast linear-model backend. Deterministic for a fixed seed.
     """
-    _check_level(level)
+    _check_parameters(level, permutations)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    _validate_pair(xs, ys)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise UsageError("xs and ys must be 1-d vectors of equal length")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise UsageError("xs and ys must be finite")
+    _check_columns(np.column_stack((xs, ys)))
     if method == "pearson":
         r = float(np.corrcoef(xs, ys)[0, 1])
         p = float(_pearson_p_value(r, len(xs) - 2))
@@ -169,7 +174,7 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
     """Dependence test evaluated on dataset columns. The per-query seed is
     derived from (seed, dataset seed, source, free node) so results do not
     depend on the order queries are issued in."""
-    _check_level(level)
+    _check_parameters(level, permutations)
     if method not in ("dcorr", "pearson"):
         raise UsageError(f"unknown independence test {method!r}")
     if method == "pearson":
@@ -182,19 +187,15 @@ def data_ci_test(method: str = "dcorr", level: float = DEFAULT_LEVEL,
 
     def pearson_rows(ds, sources, free):
         # one centered gram product per dataset instead of per-pair passes
-        m = ds.m
-        if m < MIN_SAMPLES:
-            raise UsageError(f"statistical backends need at least {MIN_SAMPLES} samples")
         cols = sorted({*sources, *free})
         block = ds.data[:, cols]
-        if np.any(np.ptp(block, axis=0) == 0.0):
-            raise UsageError("constant input vector")
+        _check_columns(block)
         sub = block - block.mean(axis=0)
         norms = np.sqrt((sub * sub).sum(axis=0))
         gram = sub.T @ sub
         src, dst = np.searchsorted(cols, sources), np.searchsorted(cols, free)
         r = gram[np.ix_(src, dst)] / np.outer(norms[src], norms[dst])
-        dependent = (_pearson_p_value(r, m - 2) < level).tolist()
+        dependent = (_pearson_p_value(r, ds.m - 2) < level).tolist()
         return [sum(1 << b for b, dep in zip(free, row) if dep) for row in dependent]
 
     return _dependence_test(pearson_rows if method == "pearson" else dcorr_rows,

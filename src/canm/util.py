@@ -170,11 +170,6 @@ def _keep_freed_pages(mallopt) -> bool:
     return all(mallopt(param, value) == 1 for param, value in _WORKER_MALLOC)
 
 
-def in_worker() -> bool:
-    """Whether this process is a fork_map worker."""
-    return _JOB is not None
-
-
 def _start_worker(job, setters, mallopt) -> None:
     """Initialize a fork_map worker: record its job, pin OpenBLAS to one
     thread and set ``_WORKER_MALLOC``, which changes no result."""
@@ -199,7 +194,7 @@ def fork_map(fn, items, work: int) -> list:
     ``work`` reaches ``FORK_MIN_WORK``. It runs inline when that makes
     fewer than two workers, and when forking is unsafe or unpinnable: no
     ``fork`` start method, another live Python thread (forking it would
-    copy held locks), a caller that is itself a worker (``in_worker``), or
+    copy held locks), a caller that is itself a worker (``_JOB`` set), or
     no OpenBLAS thread setter to call. Each worker sets every OpenBLAS
     mapped at the time of this call (numpy's, and SciPy's once a Pearson
     test has loaded ``scipy.special``) to one thread so workers do not
@@ -217,7 +212,7 @@ def fork_map(fn, items, work: int) -> list:
     """
     items = list(items)
     workers = min(usable_cpus(), len(items))
-    if (workers < 2 or work < FORK_MIN_WORK or in_worker()
+    if (workers < 2 or work < FORK_MIN_WORK or _JOB is not None
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()
             or not (setters := _blas_thread_setters())):

@@ -16,7 +16,7 @@ from canm.discovery import (
     learn_observable_graph,
     learn_transitive_closure,
 )
-from canm.estimation import AceQuery, ace, conditional_ace, fit_model, identifiable
+from canm.estimation import AceQuery, ace, conditional_ace, fit_model
 from canm.fixtures import correction_fixture, linear_pair_a, linear_pair_b, product_outcome_pair
 from canm.graph import Dag, random_dag, shd, transitive_closure
 from canm.harness import (
@@ -413,7 +413,7 @@ def test_criterion_11_healthcare_study(tmp_path):
     net, roles = healthcare_model()
     g = roles["graph"]
     plan = [frozenset(), frozenset({0, 1}), frozenset(range(4))]
-    gate = identifiable(g, plan)
+    gate = check_sufficiency(g, plan)
     m = 3000
     cfg = ExperimentConfig(kind="healthcare", seed=1101, out_dir=str(tmp_path / "hc"),
                            replications=2, sample_sizes=(m,), regressor="knn",

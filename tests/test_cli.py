@@ -227,6 +227,15 @@ def test_wrong_typed_config_value_is_usage_error(argv, cfg, tmp_path, capsys):
 @pytest.mark.parametrize("kind, cfg", [
     ("discovery-n", {"replications": "2"}),
     ("mae", {"alpha": "nan", "discover_first": True}),
+    ("discovery-n", {"sample_sizes": []}),
+    ("discovery-samples", {"sample_sizes": []}),
+    ("mae", {"sample_sizes": [], "n": 3}),
+    ("healthcare", {"sample_sizes": []}),
+    ("discovery-n", {"n_values": []}),
+    ("sufficiency", {"d_max": 0}),
+    ("sufficiency", {"max_interventions": -1}),
+    ("discovery-n", {"permutations": -1, "test": "dcorr", "n_values": [3],
+                     "replications": 1}),
 ])
 def test_wrong_typed_experiment_config_is_usage_error(kind, cfg, tmp_path, capsys):
     code, out, err = run(["experiment", "--seed", "1", "--kind", kind, "--out",

@@ -159,8 +159,8 @@ class TestLazyRegimes:
         res = learn_observable_graph(draw, oracle, 8, 3, 2.0, 25, seed=32)
         assert calls == []
         assert all(isinstance(ds, LazyDataset) and ds.m == 25 for ds in res.collected)
-        # a data test run inline reads the handles of the regimes it tests,
-        # which keep their draws, and every kept dataset is still a handle
+        # a data test run inline draws each regime it tests once and drops
+        # the draw, so every handle is still undrawn
         def reading_batch(ds, sources):
             assert len(ds.data) == 25
             return oracle.batch(ds, sources)
@@ -171,13 +171,16 @@ class TestLazyRegimes:
             8, 3, 2.0, 25, seed=32)
         tested = sum(bool(r.randomized) for r in plan_discovery(8, 3, 2.0, seed=32))
         assert 0 < len(eager_calls) == tested < len(eager.collected)
-        assert all(isinstance(ds, LazyDataset) and ds.m == 25 for ds in eager.collected)
+        assert all(isinstance(ds, LazyDataset) and ds.m == 25 and ds._ds is None
+                   for ds in eager.collected)
         assert res.learned_graph == eager.learned_graph
         assert res.interventions_used == eager.interventions_used
         assert [ds.targets for ds in res.collected] == [ds.targets for ds in eager.collected]
         assert calls == []
         assert_same_datasets(res.collected, eager.collected)
-        assert sorted(calls) == sorted(eager_calls)
+        # reading draws every regime once more, the tested ones included
+        assert len(eager_calls) == tested + len(eager.collected)
+        assert sorted(calls) == sorted(eager_calls[tested:])
         res.collected[0].x(0)
         assert len(calls) == len(res.collected)
 
@@ -216,18 +219,22 @@ class TestWorkerCount:
     def test_results_do_not_depend_on_worker_count(self, level, tmp_path, forking,
                                                    monkeypatch):
         anm = random_anm(random_dag(6, 3, seed=40), seed=41)
+        tested = sum(bool(r.randomized) for r in plan_discovery(6, 3, 1.0, seed=43))
         runs, parent_draws = {}, {}
         for cpus in (1, 2):
             monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
             draw, calls = counting(anm_sampler(anm))
             test = data_ci_test("pearson", level=level, seed=42)
             runs[cpus] = res = learn_observable_graph(draw, test, 6, 3, 1.0, 120, seed=43)
+            assert all(ds._ds is None for ds in res.collected)
+            parent_draws[cpus] = [len(calls)]
             save_discovery_result(res, tmp_path / str(cpus))
-            parent_draws[cpus] = len(calls)
+            parent_draws[cpus].append(len(calls))
         one, two = runs[1], runs[2]
-        # inline, each regime is drawn here once, tested or saved; with two
-        # workers nothing is
-        assert parent_draws[1] == len(one.collected) and parent_draws[2] == 0
+        # inline, each tested regime is drawn here once for its test, then
+        # every regime once more to be saved; with two workers nothing is
+        assert parent_draws[1] == [tested, tested + len(one.collected)]
+        assert parent_draws[2] == [0, 0]
         assert one.learned_graph == two.learned_graph
         assert one.interventions_used == two.interventions_used
         assert_same_datasets(one.collected, two.collected)
@@ -244,8 +251,7 @@ class TestWorkerCount:
 
         monkeypatch.setattr(util, "usable_cpus", lambda: 1)
         inline_graph, inline_undrawn = discover(None)
-        # inline, the tested handles keep their draws
-        assert not all(inline_undrawn)
+        assert all(inline_undrawn)
         monkeypatch.setattr(util, "usable_cpus", lambda: 2)
         nested = util.fork_map(discover, range(2), 0)
         for graph, undrawn in nested:

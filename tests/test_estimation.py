@@ -13,7 +13,6 @@ from canm.estimation import (
     fit_model,
     fit_outcome_equation,
     fit_treatment_equation,
-    identifiable,
     load_model,
     save_model,
 )
@@ -325,13 +324,13 @@ class TestNumericalGuards:
 class TestIdentifiable:
     def test_core_plan_passes(self):
         g = fig_g1()
-        assert identifiable(g, core_intervention_plan(g)).sufficient
+        assert check_sufficiency(g, core_intervention_plan(g)).sufficient
 
     def test_flags_make_minimal_set_pass(self):
         g = fig_g1()
         targets = [frozenset(), frozenset(range(4))]
-        assert not identifiable(g, targets).sufficient
-        assert identifiable(g, targets, (True,) * 4).sufficient
+        assert not check_sufficiency(g, targets).sufficient
+        assert check_sufficiency(g, targets, (True,) * 4).sufficient
 
 
 def test_treatment_equation_parents_must_be_integers():

@@ -1,12 +1,13 @@
 """Experiment drivers and the bundled mixed network."""
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
 from canm import estimation, harness, scm, util
+from canm.discovery import check_sufficiency
 from canm.errors import UsageError
-from canm.estimation import identifiable
 from canm.harness import (
     ExperimentConfig,
     run_discovery_experiment,
@@ -101,7 +102,20 @@ class TestHealthcareModel:
         net, roles = healthcare_model()
         g = roles["graph"]
         targets = [frozenset(), frozenset({0, 1}), frozenset(range(4))]
-        assert identifiable(g, targets).sufficient
+        assert check_sufficiency(g, targets).sufficient
+
+    def test_samples_match_their_pinned_digest(self):
+        # the three regimes of the healthcare experiment's plan and one oracle
+        # value, pinned so that no edit of the network's sampler moves a draw
+        net, roles = healthcare_model()
+        digest = hashlib.sha256()
+        for targets in ([], [0, 1], [0, 1, 2, 3]):
+            ds = healthcare_dataset(net, roles, targets, 500, seed=23)
+            digest.update(np.ascontiguousarray(ds.data).tobytes())
+        assert digest.hexdigest() == (
+            "2855be956813d1cec534feb9e927fe4e37f05143d8380d4104e2def6152449b0")
+        est = healthcare_oracle(net, roles, [0, 2], [1.0, 0.5], 20_000, seed=24)
+        assert est.value.hex() == "0x1.bd3b0725c6426p+1"
 
     def test_dataset_layout_and_determinism(self):
         net, roles = healthcare_model()
@@ -313,6 +327,7 @@ class TestWorkerCount:
     @pytest.mark.parametrize("field,value,match", [
         ("test", "bogus", "unknown independence test"),
         ("level", 5.0, "level"),
+        ("permutations", -1, "permutations"),
     ])
     def test_bad_test_or_level_is_refused_before_any_fork(self, tmp_path, monkeypatch,
                                                           field, value, match):

@@ -71,6 +71,25 @@ class TestStatisticalBackends:
         with pytest.raises(UsageError):
             run_test(np.arange(30.0), np.arange(31.0))
 
+    @pytest.mark.parametrize("permutations", [-2, -1, 0])
+    def test_fewer_than_one_permutation_is_refused(self, permutations):
+        xs = np.arange(30.0)
+        with pytest.raises(UsageError, match="permutations"):
+            run_test(xs, xs, method="dcorr", permutations=permutations)
+        with pytest.raises(UsageError, match="permutations"):
+            data_ci_test("dcorr", permutations=permutations)
+
+    @pytest.mark.parametrize("method", ["pearson", "dcorr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_refused(self, method, bad):
+        rng = np.random.default_rng(9)
+        xs, ys = rng.standard_normal((2, 30))
+        ys[3] = bad
+        with pytest.raises(UsageError, match="finite"):
+            run_test(xs, ys, method=method)
+        with pytest.raises(UsageError, match="finite"):
+            run_test(ys, xs, method=method)
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(8)
         xs = rng.standard_normal(80)
