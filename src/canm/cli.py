@@ -61,8 +61,8 @@ def _echo_config(args: argparse.Namespace, out_dir: str) -> None:
 
 
 def _require_seed(args) -> int:
-    if args.seed is None:
-        raise UsageError("--seed is required for sampling subcommands")
+    if args.seed is None or args.seed < 0:
+        raise UsageError(f"sampling subcommands need --seed, an integer >= 0; got {args.seed}")
     return int(args.seed)
 
 
@@ -77,9 +77,7 @@ def _cmd_gen_scm(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _require_seed(args)
-    anm = load_anm(args.anm)
-    targets = parse_targets(args.targets, anm.n)
-    ds = sample(anm, targets, args.policy, args.samples, seed)
+    ds = sample(load_anm(args.anm), args.targets, args.policy, args.samples, seed)
     save_dataset(ds, args.out)
     print(args.out)
     return EXIT_OK
@@ -99,8 +97,6 @@ def _cmd_plan(args) -> int:
 
 
 def _parse_flags(text, n):
-    if not text:
-        return None
     flagged = parse_targets(text, n)
     return tuple(i in flagged for i in range(n))
 
@@ -109,8 +105,7 @@ def _cmd_check(args) -> int:
     g = Dag.load(args.graph)
     listed = read_json(args.targets_file)
     with malformed("targets file"):
-        targets = [parse_targets(s, g.n) for s in listed]
-    report = check_sufficiency(g, targets, _parse_flags(args.flags, g.n))
+        report = check_sufficiency(g, listed, _parse_flags(args.flags, g.n))
     print(json.dumps({
         "sufficient": report.sufficient,
         "witness": {str(k): v for k, v in sorted(report.witness.items())},
@@ -202,11 +197,9 @@ def _cmd_healthcare(args) -> int:
         save_dataset(ds, args.out)
         print(args.out)
         return EXIT_OK
-    if args.op == "oracle":
-        est = healthcare.healthcare_oracle(net, roles, args.targets, args.values, args.mc, seed)
-        print(f"{est.value:.17g},{est.stderr:.17g}")
-        return EXIT_OK
-    raise UsageError(f"unknown healthcare op {args.op!r}")
+    est = healthcare.healthcare_oracle(net, roles, args.targets, args.values, args.mc, seed)
+    print(f"{est.value:.17g},{est.stderr:.17g}")
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,9 +211,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser(config_defaults=None) -> argparse.ArgumentParser:
-    """The canm parser. ``config_defaults`` maps a subcommand to flag
-    defaults read from its --config file."""
+def build_parser() -> argparse.ArgumentParser:
+    """The canm parser."""
     parser = _Parser(
         prog="canm",
         description="confounded additive-noise models: simulate, discover, estimate",
@@ -228,7 +220,7 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON file of flag defaults; flags win")
+        p.add_argument("--config", help="JSON object of flag values; flags win")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen-scm", help="emit a random model as JSON")
@@ -310,16 +302,17 @@ def build_parser(config_defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--mc", type=int, default=100_000)
     p.add_argument("--out", default="healthcare.csv")
     p.set_defaults(func=_cmd_healthcare)
-
-    for command, defaults in (config_defaults or {}).items():
-        sub.choices[command].set_defaults(**defaults)
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv. A --config object becomes the subcommand's flag defaults
-    for a second parse, so a flag given on the command line wins."""
-    args = build_parser().parse_args(argv)
+    """Parse argv. A --config object becomes command-line words that go in
+    right after the subcommand, so a flag given on the command line, later,
+    wins. Each key becomes its flag. A list gives one word per item after the
+    flag, any other value one ``--flag=word``, so a word like "-1,2" is not
+    read as a flag. A value that is not a string is written as JSON."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # the experiment handler reads --config itself (the ExperimentConfig schema)
     if args.command == "experiment" or not getattr(args, "config", None):
         return args
@@ -327,10 +320,14 @@ def _parse_args(argv) -> argparse.Namespace:
     unknown = set(cfg) - (set(vars(args)) - {"func", "command"})
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    # argparse applies a flag's type to a default only when it is a string
-    defaults = {key: value if value is None or isinstance(value, (str, list)) else str(value)
-                for key, value in cfg.items()}
-    return build_parser({args.command: defaults}).parse_args(argv)
+    words = []
+    for key, value in cfg.items():
+        texts = [v if isinstance(v, str) else json.dumps(v)
+                 for v in (value if isinstance(value, list) else [value])]
+        flag = "--" + key.replace("_", "-")
+        words += [flag, *texts] if isinstance(value, list) else [f"{flag}={texts[0]}"]
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *words, *argv[at:]])
 
 
 def run_cli(argv) -> int:

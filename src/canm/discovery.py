@@ -89,7 +89,7 @@ class Regime(NamedTuple):
 
 def _separating_regimes(n: int, context: frozenset, key: tuple, t: int) -> list:
     regimes = []
-    for idx, s in enumerate(strongly_separating(n) if n > 1 else ()):
+    for idx, s in enumerate(strongly_separating(n)):
         targets = s | context
         randomized = s if len(targets) < n else frozenset()  # no free node, no test
         regimes.append(Regime(targets, key + (("int", idx),), t, randomized))
@@ -113,7 +113,7 @@ def plan_discovery(n: int, d_max: int, alpha: float = 3.0, seed: int = 0) -> tup
         raise UsageError(f"alpha must be a finite number >= 1, got {alpha}")
     plan = [Regime(frozenset(), (("obs",),), -1)]
     include_prob = 1.0 - 1.0 / d_max
-    outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n))) if n > 1 else 0
+    outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n)))
     for t in range(outer):
         rng = np.random.default_rng(derive_seed(seed, "subset", t))
         s = frozenset(i for i in range(n) if rng.random() < include_prob)

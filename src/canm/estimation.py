@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .discovery import check_sufficiency
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError, malformed
-from .graph import Dag, node_flags, node_index, topological_order
-from .scm import AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction
+from .graph import Dag, node_flags, node_index
+from .scm import (AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction,
+                  parse_intervention)
 from .util import chol_factor, read_json, repair_psd, write_json
 
 OUTCOME = "y"
@@ -88,22 +90,19 @@ class KnnEquation:
     center: np.ndarray
     scale: np.ndarray
 
+    @cached_property
     def _tree(self):
-        cached = getattr(self, "_tree_cache", None)
-        if cached is None:
-            # imported here so only k-NN runs pay for scipy.spatial
-            from scipy.spatial import cKDTree
+        # imported here so only k-NN runs pay for scipy.spatial
+        from scipy.spatial import cKDTree
 
-            cached = cKDTree((self.train_x - self.center) / self.scale)
-            object.__setattr__(self, "_tree_cache", cached)
-        return cached
+        return cKDTree((self.train_x - self.center) / self.scale)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if not self.parents:
             return np.full(x.shape[0], float(self.train_y.mean()))
         q = (x[:, sorted(self.parents)] - self.center) / self.scale
-        _, idx = self._tree().query(q, k=min(self.k, len(self.train_y)))
+        _, idx = self._tree.query(q, k=min(self.k, len(self.train_y)))
         if idx.ndim == 1:
             idx = idx[:, None]
         return self.train_y[idx].mean(axis=1)
@@ -182,24 +181,18 @@ class EstimatedModel:
 
 @dataclass(frozen=True)
 class AceQuery:
-    """Query E[Y|do(intervened)]: values for the intervened treatments, with
-    the remaining treatments marginalized."""
+    """Query E[Y|do(intervened)], the other treatments marginalized;
+    ``intervened`` (a mapping or pairs) is read by ``scm.parse_intervention``."""
 
     n: int
     intervened: tuple
 
     def __init__(self, n: int, intervened):
-        items = sorted((node_index(k), float(v)) for k, v in
-                       (intervened.items() if hasattr(intervened, "items") else intervened))
+        items = sorted(intervened.items() if hasattr(intervened, "items") else intervened,
+                       key=lambda item: node_index(item[0]))
+        pinned = parse_intervention([k for k, _ in items], [v for _, v in items], n)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "intervened", tuple(items))
-        nodes = [k for k, _ in items]
-        if len(set(nodes)) != len(nodes):
-            raise UsageError("duplicate intervened node")
-        if any(k < 0 or k >= n for k in nodes):
-            raise UsageError("intervened node out of range")
-        if not all(np.isfinite(v) for _, v in items):
-            raise UsageError("intervention values must be finite")
+        object.__setattr__(self, "intervened", tuple(pinned.items()))
 
     @property
     def marginalized(self) -> tuple:
@@ -386,9 +379,8 @@ def ace(model: EstimatedModel, q: AceQuery, m_mc: int = 100_000, seed: int = 0) 
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((m_mc, len(marg))) @ chol_factor(sigma_oo).T
         x = q.pinned(m_mc)  # column-major for the equations' reads
-        order = [v for v in topological_order(model.graph) if v in set(marg)]
         col = {node: j for j, node in enumerate(marg)}
-        for node in order:
+        for node in (v for v in model.graph.order if v in col):
             x[:, node] = model.eq[node].predict(x) + noise[:, col[node]]
         est = AceEstimate.of(model.eq_y.predict(x) + noise @ weights)
     if not (np.isfinite(est.value) and np.isfinite(est.stderr)):

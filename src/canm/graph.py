@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,9 +19,11 @@ from .util import read_json, write_json
 
 
 def node_index(node) -> int:
-    """A node index: JSON object keys are strings of digits, anything else
-    must be an integer (operator.index rejects 1.9 where int() truncates)."""
+    """A node index: JSON object keys are strings of digits, anything else an
+    integer other than a bool (operator.index rejects 1.9 but reads True as 1)."""
     try:
+        if node is True or node is False:
+            raise TypeError("a bool is not a node index")
         return int(node) if isinstance(node, str) else operator.index(node)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"node indices must be integers, got {node!r}") from exc
@@ -54,8 +57,11 @@ class Dag:
                 raise UsageError(f"self-loop at node {a}")
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise UsageError(f"edge ({a}, {b}) out of range for n={self.n}")
-        # acyclicity check; raises on failure
-        topological_order(self)
+        self.order  # acyclicity check; raises on failure
+
+    @cached_property
+    def order(self) -> tuple:  # topological_order(self), computed once
+        return tuple(topological_order(self))
 
     def parent_sets(self) -> tuple:
         pa = [set() for _ in range(self.n)]

@@ -17,15 +17,20 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UsageError, malformed
-from .graph import Dag, node_flags, node_index, topological_order
+from .graph import Dag, node_flags, node_index
 from .util import chol_factor, read_json, write_json
 
 PSD_EIG_FLOOR = -1e-9
 SYM_TOL = 1e-12
+# random_anm: the weight of the dense correlation in the noise covariance,
+# and the half-width of the uniform intercepts and noise means
+NOISE_CORRELATION = 0.6
+MEAN_SCALE = 0.5
 
 
 def _norm_linear(linear):
@@ -141,13 +146,10 @@ class NoiseSpec:
     def dim(self) -> int:
         return len(self.mean)
 
+    @cached_property
     def factor(self) -> np.ndarray:
-        # Cholesky with eigenvalue-clipped repair for near-PSD inputs; cached.
-        cached = getattr(self, "_factor", None)
-        if cached is None:
-            cached = chol_factor(self.cov)
-            object.__setattr__(self, "_factor", cached)
-        return cached
+        # Cholesky with eigenvalue-clipped repair for near-PSD inputs
+        return chol_factor(self.cov)
 
 
 @dataclass(frozen=True)
@@ -191,13 +193,6 @@ class ConfoundedAnm:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def topo(self) -> list:
-        cached = getattr(self, "_topo", None)
-        if cached is None:
-            cached = topological_order(self.graph)
-            object.__setattr__(self, "_topo", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -323,16 +318,15 @@ def _policy_numbers(policy: str, prefix: str) -> list:
     return values
 
 
-def _policy_values(policy: str, targets_sorted, m: int, rng: np.random.Generator) -> np.ndarray:
+def _policy_values(policy: str, targets_sorted, n: int, m: int, rng) -> np.ndarray:
     if policy == "std_normal":
         return rng.standard_normal((m, len(targets_sorted)))
     if policy.startswith("fixed:"):
-        vals = _policy_numbers(policy, "fixed:")
-        if len(vals) != len(targets_sorted):
-            raise UsageError(
-                f"fixed policy supplies {len(vals)} values for {len(targets_sorted)} targets"
-            )
-        return np.tile(np.asarray(vals, dtype=float), (m, 1))
+        try:
+            vals = parse_intervention(targets_sorted, policy[len("fixed:"):], n).values()
+        except UsageError as exc:
+            raise UsageError(f"value policy {policy!r}: {exc}") from None
+        return np.tile(np.asarray(list(vals), dtype=float), (m, 1))
     if policy.startswith("uniform:"):
         bounds = _policy_numbers(policy, "uniform:")
         if len(bounds) != 2 or not bounds[0] < bounds[1]:
@@ -354,12 +348,12 @@ def sample(anm: ConfoundedAnm, targets, value_policy: str = "std_normal",
     if m < 1:
         raise UsageError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((m, n + 1)) @ anm.noise.factor().T + anm.noise.mean
+    u = rng.standard_normal((m, n + 1)) @ anm.noise.factor.T + anm.noise.mean
     tsort = sorted(targets)
-    drawn = _policy_values(value_policy, tsort, m, rng)
+    drawn = _policy_values(value_policy, tsort, n, m, rng)
     vals = np.zeros((m, n + 1), order="F")  # column-major while evaluating
     col = {t: k for k, t in enumerate(tsort)}
-    for node in anm.topo():
+    for node in anm.graph.order:
         if node in targets:
             vals[:, node] = drawn[:, col[node]]
         else:
@@ -368,12 +362,12 @@ def sample(anm: ConfoundedAnm, targets, value_policy: str = "std_normal",
     return InterventionalDataset(targets, value_policy, np.ascontiguousarray(vals), seed)
 
 
-def anm_sampler(anm: ConfoundedAnm, value_policy: str = "std_normal"):
+def anm_sampler(anm: ConfoundedAnm):
     """Sampler closure with the (targets, m, seed) -> dataset signature the
-    discovery routines expect."""
+    discovery routines expect; target values are standard normal."""
 
     def draw(targets, m, seed):
-        return sample(anm, targets, value_policy, m, seed)
+        return sample(anm, targets, "std_normal", m, seed)
 
     return draw
 
@@ -406,7 +400,7 @@ def true_ace_exact(anm: ConfoundedAnm, w_targets, w_values) -> AceEstimate:
                              "treatment equations")
     mu = np.zeros(n)
     load = np.zeros((n, n + 1))  # X_i - mu_i = load[i] @ (U - E[U])
-    for i in anm.topo():
+    for i in anm.graph.order:
         if i in pinned:
             mu[i] = pinned[i]
             continue
@@ -426,14 +420,13 @@ def _random_coeff(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0)))
 
 
-def random_anm(graph: Dag, seed: int = 0, pairwise_prob_y: float = 0.0,
-               noise_correlation: float = 0.6, mean_scale: float = 0.5) -> ConfoundedAnm:
+def random_anm(graph: Dag, seed: int = 0, pairwise_prob_y: float = 0.0) -> ConfoundedAnm:
     """Random confounded model on a given graph.
 
     Treatment equations are linear in their parents; the outcome equation is
     linear in all treatments with optional pairwise product terms. The noise
     covariance has unit diagonal and dense correlations scaled by
-    ``noise_correlation``.
+    ``NOISE_CORRELATION``.
     """
     if not 0.0 <= pairwise_prob_y <= 1.0:
         raise UsageError(f"pairwise_prob_y must lie in [0, 1], got {pairwise_prob_y}")
@@ -442,7 +435,7 @@ def random_anm(graph: Dag, seed: int = 0, pairwise_prob_y: float = 0.0,
     pa = graph.parent_sets()
     f = tuple(
         StructuralFunction(
-            float(rng.uniform(-mean_scale, mean_scale)),
+            float(rng.uniform(-MEAN_SCALE, MEAN_SCALE)),
             {p: _random_coeff(rng) for p in sorted(pa[i])},
         )
         for i in range(n)
@@ -454,7 +447,7 @@ def random_anm(graph: Dag, seed: int = 0, pairwise_prob_y: float = 0.0,
         if rng.random() < pairwise_prob_y
     }
     f_y = StructuralFunction(
-        float(rng.uniform(-mean_scale, mean_scale)),
+        float(rng.uniform(-MEAN_SCALE, MEAN_SCALE)),
         {i: _random_coeff(rng) for i in range(n)},
         pair_terms,
     )
@@ -462,8 +455,8 @@ def random_anm(graph: Dag, seed: int = 0, pairwise_prob_y: float = 0.0,
     corr = g @ g.T / (n + 1)
     d = np.sqrt(np.diag(corr))
     corr = corr / np.outer(d, d)
-    cov = (1.0 - noise_correlation) * np.eye(n + 1) + noise_correlation * corr
-    mean = rng.uniform(-mean_scale, mean_scale, n + 1)
+    cov = (1.0 - NOISE_CORRELATION) * np.eye(n + 1) + NOISE_CORRELATION * corr
+    mean = rng.uniform(-MEAN_SCALE, MEAN_SCALE, n + 1)
     return ConfoundedAnm(graph, f, f_y, NoiseSpec(mean, cov))
 
 

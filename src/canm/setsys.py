@@ -61,7 +61,7 @@ def strongly_separating(n: int) -> SeparatingSetSystem:
     Cached: the value is immutable and discovery asks for it per closure."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    bits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    bits = max(1, math.ceil(math.log2(n)))
     sets = []
     full = frozenset(range(n))
     for k in range(bits):

@@ -1,4 +1,4 @@
-"""Small worked models with closed-form effects, used by tests and demos.
+"""Small worked models with closed-form effects, used by the tests.
 
 The pair builders return two-treatment models that share their observational
 and joint-interventional distributions yet disagree under single-variable
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Dag
-from .scm import ConfoundedAnm, NoiseSpec, StructuralFunction
+from canm.graph import Dag
+from canm.scm import ConfoundedAnm, NoiseSpec, StructuralFunction
 
 CHAIN2 = Dag(2, frozenset({(0, 1)}))
 

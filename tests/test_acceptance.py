@@ -17,7 +17,6 @@ from canm.discovery import (
     learn_transitive_closure,
 )
 from canm.estimation import AceQuery, ace, conditional_ace, fit_model
-from canm.fixtures import correction_fixture, linear_pair_a, linear_pair_b, product_outcome_pair
 from canm.graph import Dag, random_dag, shd, transitive_closure
 from canm.harness import (
     ExperimentConfig,
@@ -31,6 +30,7 @@ from canm.independence import oracle_ci_test
 from canm.scm import anm_sampler, random_anm, sample
 from canm.setsys import strongly_separating
 from canm.util import derive_seed
+from fixtures import correction_fixture, linear_pair_a, linear_pair_b, product_outcome_pair
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

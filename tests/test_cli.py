@@ -1,17 +1,21 @@
 """CLI surface: subcommands, exit codes, config composition, determinism."""
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canm import scm
 from canm.cli import run_cli
 from canm.discovery import core_intervention_plan
 from canm.estimation import AceQuery, ace, fit_model, model_to_json, save_model
-from canm.fixtures import fig_g1
 from canm.graph import Dag
 from canm.scm import (
     ConfoundedAnm,
@@ -23,6 +27,7 @@ from canm.scm import (
     sample,
     save_anm,
 )
+from fixtures import fig_g1
 
 
 def run(argv, capsys):
@@ -702,3 +707,147 @@ def test_overflow_ends_in_one_stderr_line(argv, kind, code, tmp_path):
     got, out, err = run_process(argv)
     assert got == code
     assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("cfg, extra", [({"seed": [1, 2]}, []), ({"n": [3, 4]}, ["--seed", "1"])])
+def test_config_list_for_a_one_word_flag_is_usage_error(cfg, extra, tmp_path, capsys):
+    code, out, err = run(["gen-scm", *extra, "--out", str(tmp_path / "m.json"),
+                          "--config", _write_cfg(tmp_path, cfg)], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: usage: canm")
+
+
+def test_fit_config_data_is_one_path_or_a_list(tmp_path, capsys):
+    anm = tmp_path / "anm.json"
+    save_anm(random_anm(Dag(1), seed=3), anm)
+    paths = []
+    for targets in ("", "all"):
+        paths.append(str(tmp_path / f"ds{len(paths)}.csv"))
+        assert run(["sample", "--anm", str(anm), "--targets", targets, "--samples", "50",
+                    "--seed", "4", "--out", paths[-1]], capsys)[0] == 0
+    Dag(1).save(tmp_path / "g.json")
+    argv = ["fit", "--graph", str(tmp_path / "g.json"), "--out", str(tmp_path / "model.json"),
+            "--config"]
+    # one path is one dataset: the observational one alone lacks the joint regime
+    code, out, err = run(argv + [_write_cfg(tmp_path, {"data": paths[0]})], capsys)
+    assert code == 3
+    assert out == "" and err.count("\n") == 1 and "no joint intervention" in err
+    assert run(argv + [_write_cfg(tmp_path, {"data": paths})], capsys)[0] == 0
+
+
+def test_config_value_may_start_with_a_dash(model_path, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"targets": "0,1", "values": "-1,2"})
+    code, out, _ = run(["ace", "--model", model_path, "--mc", "100", "--seed", "3",
+                        "--config", cfg], capsys)
+    assert code == 0 and out.startswith("X1+X2,-1;2,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-scm", "--out", "m.json"],
+    ["sample", "--anm", "anm.json", "--out", "ds.csv"],
+    ["healthcare", "--op", "oracle", "--mc", "100"],
+], ids=["gen-scm", "sample", "healthcare"])
+def test_negative_seed_is_usage_error(argv, tmp_path, capsys):
+    save_anm(random_anm(Dag(2, {(0, 1)}), seed=3), tmp_path / "anm.json")
+    argv = [a if not a.endswith((".json", ".csv")) else str(tmp_path / a) for a in argv]
+    code, out, err = run([*argv, "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "--seed" in err
+
+
+def test_plan_refuses_a_bool_node_count(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": True, "edges": []}))
+    code, out, err = run(["plan", "--graph", str(gpath)], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "integer" in err
+
+
+def test_check_refuses_bool_targets(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    Dag(2, {(0, 1)}).save(gpath)
+    tpath = tmp_path / "targets.json"
+    tpath.write_text(json.dumps([[True]]))
+    code, out, err = run(["check", "--graph", str(gpath), "--targets-file", str(tpath)], capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "integer" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding a 3-node model, its discovery output, a fit and
+    an observational dataset, under the names the fuzzed configs use."""
+    work = tmp_path_factory.mktemp("config-fuzz")
+    argvs = [
+        ["gen-scm", "--n", "3", "--seed", "1", "--out", "anm.json"],
+        ["discover", "--anm", "anm.json", "--dmax", "2", "--alpha", "1", "--samples", "100",
+         "--test", "oracle", "--seed", "2", "--out", "disc"],
+        ["fit", "--from-dir", "disc", "--out", "model.json"],
+        ["sample", "--anm", "anm.json", "--samples", "50", "--seed", "3", "--out", "obs.csv"],
+    ]
+    with _inside(work):
+        for argv in argvs:
+            assert run_cli(argv) == 0
+    return work
+
+
+@contextlib.contextmanager
+def _inside(path):
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            yield
+    finally:
+        os.chdir(cwd)
+
+
+# Per subcommand: the flags every fuzzed run gives, which win over the config
+# and keep each run small, and the config keys fuzzed (every flag of the
+# subcommand; a pinned one is still parsed from the config's words).
+CONFIG_FUZZ = {
+    "gen-scm": (["--n", "3", "--seed", "1", "--out", "fz-anm.json"],
+                ["seed", "n", "dmax", "pairwise_prob", "out", "config"]),
+    "sample": (["--anm", "anm.json", "--samples", "20", "--out", "fz.csv"],
+               ["anm", "targets", "policy", "samples", "seed", "out"]),
+    "discover": (["--anm", "anm.json", "--dmax", "2", "--alpha", "1", "--samples", "40",
+                  "--test", "pearson", "--out", "fz-disc"],
+                 ["anm", "dmax", "alpha", "samples", "test", "level", "seed"]),
+    "fit": (["--out", "fz-model.json"], ["from_dir", "graph", "data", "regressor", "knn_k"]),
+    "ace": (["--model", "model.json", "--mc", "100"], ["model", "targets", "values", "mc", "seed"]),
+    "healthcare": (["--op", "oracle", "--mc", "100", "--samples", "30", "--out", "fz-hc.csv"],
+                   ["op", "targets", "values", "mc", "samples", "seed"]),
+    "experiment": (["--kind", "sufficiency", "--seed", "1", "--out", "fz-exp"],
+                   ["replications", "n", "d_max", "max_interventions", "kind", "test", "alpha",
+                    "svg"]),
+}
+# experiment reads its config as an ExperimentConfig: these keep it small
+EXPERIMENT_BASE = {"replications": 1, "n": 3, "max_interventions": 3}
+WORDS = ["", "x", "0", "2", "-1", "1.5", "nan", "all", "0,1", "-1,2", "2,1",
+         "anm.json", "model.json", "disc", "disc/graph.json", "obs.csv"]
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 6),
+                    st.sampled_from([0.5, -1.5, 1e308, math.nan, math.inf]),
+                    st.sampled_from(WORDS))
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                   st.lists(st.lists(SCALARS, max_size=2), min_size=1, max_size=2),
+                   st.dictionaries(st.sampled_from(["a", "n"]), SCALARS, min_size=1))
+
+
+@pytest.mark.parametrize("command", CONFIG_FUZZ)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_config_ends_in_a_documented_exit(command, data, fuzz_dir):
+    """Whatever JSON a --config object holds, the command exits 0, 2, 3, 4 or
+    5, and a nonzero exit prints exactly one stderr line."""
+    pinned, keys = CONFIG_FUZZ[command]
+    cfg = data.draw(st.dictionaries(st.sampled_from([*keys, "bogus"]), VALUES, max_size=3))
+    if command == "experiment":
+        cfg = {**EXPERIMENT_BASE, **cfg}
+    elif "seed" not in cfg:
+        pinned = [*pinned, "--seed", "1"]
+    (fuzz_dir / "fz-cfg.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with _inside(fuzz_dir), contextlib.redirect_stderr(err):
+        code = run_cli([command, *pinned, "--config", "fz-cfg.json"])
+    assert code in (0, 2, 3, 4, 5), (cfg, err.getvalue())
+    assert err.getvalue().count("\n") == (1 if code else 0), (cfg, err.getvalue())

@@ -22,7 +22,6 @@ from canm.discovery import (
 )
 from canm.errors import UsageError
 from canm.estimation import fit_model
-from canm.fixtures import fig_g1, fig_g2, fig_g3
 from canm.graph import (
     Dag,
     bit_edges,
@@ -37,6 +36,7 @@ from canm import discovery, independence, util
 from canm.scm import InterventionalDataset, LazyDataset, anm_sampler, random_anm, sample
 from canm.setsys import strongly_separating
 from canm.util import derive_seed
+from fixtures import fig_g1, fig_g2, fig_g3
 
 
 def oracle_setup(g, seed):

@@ -16,17 +16,18 @@ from canm.estimation import (
     load_model,
     save_model,
 )
-from canm.fixtures import correction_fixture, fig_g1, linear_pair_a, linear_pair_b, product_outcome_pair
 from canm.graph import Dag, random_dag
 from canm.scm import (
     ConfoundedAnm,
     NoiseSpec,
     StructuralFunction,
+    parse_intervention,
     random_anm,
     sample,
     true_ace_oracle,
 )
 from canm.util import derive_seed
+from fixtures import correction_fixture, fig_g1, linear_pair_a, linear_pair_b, product_outcome_pair
 
 
 def pipeline(anm, m, seed, policy="std_normal", **kwargs):
@@ -365,6 +366,33 @@ def test_query_node_indices_must_be_integers():
     assert AceQuery(4, {np.int64(1): 1.0}).intervened == ((1, 1.0),)
     with pytest.raises(UsageError, match="integer"):
         AceQuery(4, {1.9: 1.0})
+    with pytest.raises(UsageError, match="integer"):
+        AceQuery(4, {True: 1.0})
+
+
+@pytest.mark.parametrize("intervened", [
+    [(0, 1.0), (0, 2.0)],
+    {2: 1.0},
+    {-1: 1.0},
+    {0: float("nan")},
+    {1: 1.0, 0: float("inf")},
+], ids=["duplicate", "past-n", "negative", "nan", "inf"])
+def test_query_reads_through_parse_intervention(intervened):
+    """A query is refused with the very error do(targets = values) gives."""
+    pairs = sorted(intervened.items() if isinstance(intervened, dict) else intervened)
+    with pytest.raises(UsageError) as want:
+        parse_intervention([k for k, _ in pairs], [v for _, v in pairs], 2)
+    with pytest.raises(UsageError) as got:
+        AceQuery(2, intervened)
+    assert str(got.value) == str(want.value)
+
+
+def test_query_pairs_values_with_their_nodes():
+    q = AceQuery(3, {2: -0.5, 0: 1.5})
+    assert q.intervened == ((0, 1.5), (2, -0.5))
+    assert q.marginalized == (1,)
+    assert AceQuery(3, [(2, -0.5), (0, 1.5)]) == q
+    assert AceQuery(3, {}).intervened == ()
 
 
 def test_model_json_round_trip(tmp_path):

@@ -73,6 +73,18 @@ class TestDagInvariants:
         with pytest.raises(UsageError, match="integer"):
             Dag(n, edges)
 
+    @pytest.mark.parametrize("n,edges", [(True, []), (3, [(False, True)]), (np.True_, []),
+                                         (3, [(0, np.True_)])])
+    def test_rejects_bool_node_indices(self, n, edges):
+        # JSON true is a bool, which operator.index alone would read as 1
+        with pytest.raises(UsageError, match="integer"):
+            Dag(n, edges)
+
+    def test_order_is_the_topological_order(self):
+        g = Dag(4, {(3, 0), (0, 2), (1, 2)})
+        assert g.order == tuple(topological_order(g)) == (1, 3, 0, 2)
+        assert g.order is g.order
+
 
 class TestTopologicalOrder:
     def test_empty_graph_index_order(self):

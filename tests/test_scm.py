@@ -9,7 +9,6 @@ from canm.cli import run_cli
 from canm.discovery import core_intervention_plan
 from canm.errors import UsageError
 from canm.estimation import fit_model, save_model
-from canm.fixtures import linear_pair_a, linear_pair_b, product_outcome_pair
 from canm.graph import Dag, random_dag
 from canm.healthcare import healthcare_dataset, healthcare_model, healthcare_oracle
 from canm.scm import (
@@ -29,6 +28,7 @@ from canm.scm import (
     true_ace_exact,
     true_ace_oracle,
 )
+from fixtures import linear_pair_a, linear_pair_b, product_outcome_pair
 
 
 class TestTypes:
