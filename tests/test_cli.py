@@ -803,8 +803,8 @@ def _inside(path):
 
 
 # Per subcommand: the flags every fuzzed run gives, which win over the config
-# and keep each run small, and the config keys fuzzed (every flag of the
-# subcommand; a pinned one is still parsed from the config's words).
+# and keep each run small, and the config keys fuzzed (the subcommand's flags;
+# one given on the command line is still parsed from the config's words).
 CONFIG_FUZZ = {
     "gen-scm": (["--n", "3", "--seed", "1", "--out", "fz-anm.json"],
                 ["seed", "n", "dmax", "pairwise_prob", "out", "config"]),
