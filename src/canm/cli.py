@@ -310,24 +310,31 @@ def _parse_args(argv) -> argparse.Namespace:
     right after the subcommand, so a flag given on the command line, later,
     wins. Each key becomes its flag. A list gives one word per item after the
     flag, any other value one ``--flag=word``, so a word like "-1,2" is not
-    read as a flag. A value that is not a string is written as JSON."""
+    read as a flag. A value that is not a string is written as JSON. A first
+    parse finds --config alone, so the config may give a required flag."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    first = _Parser(add_help=False)
+    first.add_argument("command", nargs="?")
+    first.add_argument("--config", nargs="?")
+    found, _ = first.parse_known_args(argv)
     # the experiment handler reads --config itself (the ExperimentConfig schema)
-    if args.command == "experiment" or not getattr(args, "config", None):
-        return args
-    cfg = _read_config(args.config)
-    unknown = set(cfg) - (set(vars(args)) - {"func", "command"})
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    if found.command == "experiment" or not found.config:
+        return parser.parse_args(argv)
+    cfg = _read_config(found.config)
     words = []
     for key, value in cfg.items():
         texts = [v if isinstance(v, str) else json.dumps(v)
                  for v in (value if isinstance(value, list) else [value])]
         flag = "--" + key.replace("_", "-")
         words += [flag, *texts] if isinstance(value, list) else [f"{flag}={texts[0]}"]
-    at = argv.index(args.command) + 1
-    return parser.parse_args([*argv[:at], *words, *argv[at:]])
+    at = argv.index(found.command) + 1
+    args, extra = parser.parse_known_args([*argv[:at], *words, *argv[at:]])
+    unknown = set(cfg) - (set(vars(args)) - {"func", "command"})
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def run_cli(argv) -> int:

@@ -4,13 +4,13 @@ Two layers: learning the transitive closure from a strongly separating set
 system (one dependence test batch per set, a bit row per intervened node),
 and the outer randomized loop that repeatedly intervenes on a random subset,
 takes the transitive reduction of the post-interventional closure, and
-unions the recovered edges. The loop chooses every intervention before it sees a test
-result, so ``plan_discovery`` lists all its regimes up front; the tests of
-each iteration are independent of every other's and form one
-``util.fork_map`` item; only the fold over iterations is sequential. Every
-planned regime is kept as a dataset handle, because the same draws double
-as the estimation inputs. A data test reads a fresh draw of each regime it
-tests and drops it, so a handle draws only when a caller reads it.
+unions the recovered edges. The loop chooses every intervention before it
+sees a test result, so ``plan_discovery`` lists all its regimes up front;
+the tests of each iteration form one ``util.fork_map`` item. All rounds
+then fold at once, and the cycle guard walks each distinct edge once.
+Every planned regime is kept as a dataset handle, because the same draws
+double as the estimation inputs; a data test reads a fresh draw of each
+regime it tests and drops it.
 
 Also here: the direct intervention plan read off a known graph and the
 sufficiency predicate that decides whether a collection of intervention
@@ -19,7 +19,6 @@ targets identifies every effect.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError, malformed
-from .graph import Dag, bit_edges, bit_nodes, closure_rows, node_flags, reduction_bits
+from .graph import Dag, bit_edges, closure_rows, integer, node_flags
 from .scm import LazyDataset, open_dataset, parse_targets, save_dataset
 from .setsys import strongly_separating
 from .util import derive_seed, fork_map, read_json, write_json
@@ -54,19 +53,37 @@ class SufficiencyReport:
     has_observational: bool
 
 
-def _strict_order_bits(raw: list) -> list:
-    """Reachability closure of possibly-contradictory raw dependence rows,
-    with any mutually-reachable pair dropped so the result is a strict
-    partial order, as ``closure_rows`` rows. The order is transitively
-    closed: a < b < c with c ~> a would make b ~> a.
+def _strict_orders(raws: list, n: int) -> np.ndarray:
+    """Per round of raw dependence rows (bit b of ``raw[a]``: a -> b), its
+    closure less every mutually reachable pair, as a (rounds, n, n) bool
+    array: a strict partial order, and the minimal repair of a relation that
+    false positives made cyclic. Warshall's, stacked over the rounds."""
+    width = (n + 7) // 8
+    packed = b"".join(row.to_bytes(width, "little") for raw in raws for row in raw)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+    reach = bits.reshape(len(raws), n, 8 * width)[:, :, :n].astype(bool)
+    for k in np.flatnonzero(reach.any(axis=(0, 1))):
+        reach |= reach[:, :, k, None] & reach[:, None, k, :]
+    return reach & ~reach.transpose(0, 2, 1)
 
-    Statistical false positives can make the raw dependence relation cyclic;
-    keeping only the one-directional part of its closure is the minimal
-    repair that preserves everything consistent.
-    """
-    reach = closure_rows(raw)
-    return [row & ~sum(1 << b for b in bit_nodes(row) if reach[b] >> a & 1)
-            for a, row in enumerate(reach)]
+
+def _fold(raws: list, n: int) -> list:
+    """The learned rows: the union of every round's transitive reduction (v
+    stays a child of u iff no w has u < w < v; the float product counts the
+    w exactly), less what the cycle guard refuses. The guard walks each
+    distinct edge once, in (round, a, b) order: a later copy is learned
+    already or still refused, as ``reach`` only grows. It refuses what a
+    statistical test would make a cycle, and never fires on an exact test."""
+    order = _strict_orders(raws, n)
+    flat = order.astype(np.float32)
+    codes = np.flatnonzero(order & ~(flat @ flat).astype(bool)) % (n * n)
+    _, first = np.unique(codes, return_index=True)
+    learned, reach = [0] * n, [0] * n
+    for a, b in (divmod(code, n) for code in codes[np.sort(first)].tolist()):
+        if not reach[b] >> a & 1:
+            learned[a] |= 1 << b
+            reach = closure_rows(learned)
+    return learned
 
 
 class Regime(NamedTuple):
@@ -116,7 +133,7 @@ def plan_discovery(n: int, d_max: int, alpha: float = 3.0, seed: int = 0) -> tup
     outer = int(math.ceil(4.0 * alpha * d_max * math.log2(n)))
     for t in range(outer):
         rng = np.random.default_rng(derive_seed(seed, "subset", t))
-        s = frozenset(i for i in range(n) if rng.random() < include_prob)
+        s = frozenset(np.flatnonzero(rng.random(n) < include_prob).tolist())
         plan.extend(_separating_regimes(n, s, (("closure", t),), t))
         plan.append(Regime(s, (("context", t),), t))
     plan.append(Regime(frozenset(range(n)), (("joint",),), -1))
@@ -139,16 +156,12 @@ def _handle(sampler, n: int, m: int, seed: int, regime: Regime) -> LazyDataset:
     return LazyDataset(n, regime.targets, m, lambda: _draw(sampler, m, seed, regime))
 
 
-def _check_samples(m: int) -> None:
-    """Refuse a per-regime sample count below one, as ``scm.sample`` would on
-    the first draw; a test that reads only targets never draws."""
+def _reads_data(test, m: int) -> bool:
+    """``test.needs_data`` of a test that follows the protocol of
+    ``canm.independence``, for m >= 1 samples per regime, as ``scm.sample``
+    would refuse on the first draw; UsageError for anything else."""
     if m < 1:
         raise UsageError("m must be >= 1")
-
-
-def _reads_data(test) -> bool:
-    """``test.needs_data`` of a test that follows the protocol of
-    ``canm.independence``; UsageError for anything else."""
     if not (hasattr(test, "batch") and hasattr(test, "needs_data")):
         raise UsageError("a dependence test needs batch(ds, sources) and needs_data; "
                          "build it with canm.independence")
@@ -181,12 +194,11 @@ def learn_transitive_closure(sampler, test, n: int, m_per_int: int = 1000,
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    _check_samples(m_per_int)
-    _reads_data(test)  # refuse a test outside the protocol before any draw
+    _reads_data(test, m_per_int)  # refuse a test outside the protocol before any draw
     entries = [(r, _handle(sampler, n, m_per_int, seed, r))
                for r in _separating_regimes(n, frozenset(), (), 0) if r.randomized]
-    raw = _raw_edges(sampler, test, n, m_per_int, seed, entries)
-    return Dag(n, frozenset(bit_edges(_strict_order_bits(raw))))
+    order = _strict_orders([_raw_edges(sampler, test, n, m_per_int, seed, entries)], n)[0]
+    return Dag(n, frozenset(map(tuple, np.argwhere(order).tolist())))
 
 
 def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0,
@@ -206,35 +218,23 @@ def learn_observable_graph(sampler, test, n: int, d_max: int, alpha: float = 3.0
     with the planned seed, on first read. The test must follow the protocol
     of ``canm.independence``. A data test (``test.needs_data``) reads a
     fresh draw of each regime it tests and drops it, one ``util.fork_map``
-    item per iteration, whose work is the numbers those regimes hold; the
-    handles keep none of it, wherever the test ran. The fold over the
-    iterations stays sequential, so the result does not depend on the
-    worker count. A test that reads only targets runs here and draws
-    nothing.
+    item per iteration; a test that reads only targets draws nothing. All
+    rounds fold at once after the tests, so no result depends on the workers.
     """
-    _check_samples(m_per_int)
+    reads = _reads_data(test, m_per_int)
     plan = plan_discovery(n, d_max, alpha, seed)
     collected = tuple(_handle(sampler, n, m_per_int, seed, r) for r in plan)
     rounds: dict = {}  # iteration -> indices of its tested regimes
     for k, regime in enumerate(plan):
         if regime.randomized:
             rounds.setdefault(regime.iteration, []).append(k)
-    work = sum(map(len, rounds.values())) * m_per_int * (n + 1) if _reads_data(test) else 0
+    work = sum(map(len, rounds.values())) * m_per_int * (n + 1) if reads else 0
 
     def round_edges(ks):
         return _raw_edges(sampler, test, n, m_per_int, seed,
                           [(plan[k], collected[k]) for k in ks])
 
-    raws = fork_map(round_edges, rounds.values(), work)
-    # reach: reachability of the learned rows; used to refuse edges a
-    # statistical test run would otherwise turn into a cycle (exact tests
-    # never trigger the guard)
-    learned, reach = [0] * n, [0] * n
-    for raw in raws:
-        for a, b in bit_edges(reduction_bits(_strict_order_bits(raw))):
-            if not (learned[a] >> b & 1 or reach[b] >> a & 1):
-                learned[a] |= 1 << b
-                reach = closure_rows(learned)
+    learned = _fold(fork_map(round_edges, rounds.values(), work), n)
     return DiscoveryResult(Dag(n, frozenset(bit_edges(learned))), collected, len(plan) - 1)
 
 
@@ -316,8 +316,8 @@ def load_discovery_result(out_dir) -> DiscoveryResult:
     graph = Dag.load(os.path.join(out_dir, "graph.json"))
     report = read_json(os.path.join(out_dir, "report.json"))
     with malformed("discovery report.json"):
-        count = operator.index(report["dataset_count"])
-        used = operator.index(report["interventions_used"])
+        count = integer(report["dataset_count"])
+        used = integer(report["interventions_used"])
     ds_dir = os.path.join(out_dir, "datasets")
     collected = [open_dataset(os.path.join(ds_dir, f"{k}.csv")) for k in range(count)]
     return DiscoveryResult(graph, tuple(collected), used)

@@ -15,7 +15,6 @@ Fitted models are immutable; effect queries are pure given a seed.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .discovery import check_sufficiency
 from .errors import IdentifiabilityError, NumericalError, SingularFitError, UsageError, malformed
-from .graph import Dag, node_flags, node_index
+from .graph import Dag, integer, node_flags, node_index
 from .scm import (AceEstimate, InterventionalDataset, NoiseSpec, StructuralFunction,
                   parse_intervention)
 from .util import chol_factor, read_json, repair_psd, write_json
@@ -122,7 +121,7 @@ def _equation_from_json(obj: dict):
         return FittedEquation(obj["node"], parents, StructuralFunction.from_json(obj["form"]))
     if obj["kind"] == "knn":
         return KnnEquation(
-            obj["node"], parents, operator.index(obj["k"]),
+            obj["node"], parents, integer(obj["k"]),
             np.asarray(obj["train_x"], dtype=float),
             np.asarray(obj["train_y"], dtype=float),
             np.asarray(obj["center"], dtype=float),

@@ -18,13 +18,21 @@ from .errors import UsageError, malformed
 from .util import read_json, write_json
 
 
+def integer(value) -> int:
+    """The one integer reader: any integer but a bool (operator.index rejects
+    1.9 but reads True as 1); TypeError for anything else."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an integer: {value!r}")
+    return operator.index(value)
+
+
 def node_index(node) -> int:
     """A node index: JSON object keys are strings of digits, anything else an
-    integer other than a bool (operator.index rejects 1.9 but reads True as 1)."""
+    ``integer``."""
     try:
-        if node is True or node is False:
-            raise TypeError("a bool is not a node index")
-        return int(node) if isinstance(node, str) else operator.index(node)
+        return int(node) if isinstance(node, str) else integer(node)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"node indices must be integers, got {node!r}") from exc
 
@@ -122,9 +130,13 @@ def closure_rows(rows) -> list:
     """Reachability of a relation given as one integer bitset per node (bit
     j of ``rows[i]``: i -> j), in the same form: bit j of ``reach[i]`` is set
     iff a path of length >= 1 leads from i to j. Cycles are allowed (a node
-    on a cycle reaches itself). Warshall over Python ints."""
+    on a cycle reaches itself). Warshall over Python ints, pivoting only on
+    nodes with an incoming edge: no path passes through any other."""
     reach = list(rows)
-    for k in range(len(reach)):
+    into = 0
+    for row in reach:
+        into |= row
+    for k in bit_nodes(into):
         bit, row = 1 << k, reach[k]
         if row:
             for i, r in enumerate(reach):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import operator
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -29,7 +28,7 @@ from .discovery import (
     learn_observable_graph,
 )
 from .errors import IdentifiabilityError, UsageError
-from .graph import Dag, random_dag, shd
+from .graph import Dag, integer, random_dag, shd
 from .independence import data_ci_test, oracle_ci_test
 from .scm import anm_sampler, random_anm, sample, true_ace_exact
 from .svg import svg_line_chart
@@ -42,12 +41,6 @@ EXPERIMENT_KINDS = (
     "mae",
     "healthcare",
 )
-
-
-def _integer(value):
-    if isinstance(value, bool):
-        raise TypeError
-    return operator.index(value)
 
 
 def _number(value):
@@ -67,13 +60,13 @@ def _of_type(kind):
 def _integers(value):
     if not isinstance(value, (list, tuple)):
         raise TypeError
-    return tuple(map(_integer, value))
+    return tuple(map(integer, value))
 
 
 # Per annotated field type: the check that returns the stored value or
 # raises TypeError, and what the error message asks for.
 _FIELD_TYPES = {
-    "int": (_integer, "an integer"),
+    "int": (integer, "an integer"),
     "float": (_number, "a number"),
     "bool": (_of_type(bool), "true or false"),
     "str": (_of_type(str), "a string"),

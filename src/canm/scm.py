@@ -15,14 +15,13 @@ and standard error.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import UsageError, malformed
-from .graph import Dag, node_flags, node_index
+from .graph import Dag, integer, node_flags, node_index
 from .util import chol_factor, read_json, write_json
 
 PSD_EIG_FLOOR = -1e-9
@@ -282,13 +281,15 @@ def parse_targets(spec, n: int) -> frozenset:
         if text == "all":
             return frozenset(range(n))
         spec = text.split(",")
-    try:
-        targets = frozenset(map(node_index, spec))
-    except TypeError as exc:  # spec is not iterable
-        raise UsageError(f"targets must be integer node indices: {exc}") from exc
-    if targets and (min(targets) < 0 or max(targets) >= n):
+    # a frozenset of plain ints is read already: only its range is checked
+    if not (isinstance(spec, frozenset) and all(type(t) is int for t in spec)):
+        try:
+            spec = frozenset(map(node_index, spec))
+        except TypeError as exc:  # spec is not iterable
+            raise UsageError(f"targets must be integer node indices: {exc}") from exc
+    if spec and (min(spec) < 0 or max(spec) >= n):
         raise UsageError(f"target out of range for n={n}")
-    return targets
+    return spec
 
 
 def parse_intervention(targets, values, n: int) -> dict:
@@ -528,7 +529,7 @@ def _dataset_head(csv_path):
     meta = read_json(meta_path)
     with malformed(f"dataset sidecar {meta_path}"):
         meta = {key: meta[key] for key in ("targets", "policy", "seed", "m")}
-        meta["seed"], meta["m"] = operator.index(meta["seed"]), operator.index(meta["m"])
+        meta["seed"], meta["m"] = integer(meta["seed"]), integer(meta["m"])
     with open(csv_path, errors="replace") as fh:  # a non-UTF-8 byte fails the row parse
         n = fh.readline().count(",")
     if n < 1:

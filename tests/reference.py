@@ -106,3 +106,32 @@ def pearson_scalar_p_value(xs, ys) -> float:
     r2 = min(r * r, 1.0 - 1e-15)
     t = abs(r) * np.sqrt(df / (1.0 - r2))
     return float(2.0 * stats.t.sf(t, df))
+
+
+def strict_order_rows(raw) -> list:
+    """The reachability closure of raw dependence rows, one Python-int
+    bitset per node, less every mutually reachable pair: the per-round
+    strict order that ``discovery`` replaced with a stacked one, kept to
+    check it."""
+    from canm.graph import bit_nodes, closure_rows
+
+    reach = closure_rows(raw)
+    return [row & ~sum(1 << b for b in bit_nodes(row) if reach[b] >> a & 1)
+            for a, row in enumerate(reach)]
+
+
+def fold_rounds(raws, n: int) -> list:
+    """The learned rows of a discovery run folded one round at a time: each
+    round's strict order, its reduction by ``graph.reduction_bits``, then
+    the cycle guard over its edges in sorted order. The fold that
+    ``discovery`` replaced with one over every round at once, kept to check
+    it."""
+    from canm.graph import bit_edges, closure_rows, reduction_bits
+
+    learned, reach = [0] * n, [0] * n
+    for raw in raws:
+        for a, b in bit_edges(reduction_bits(strict_order_rows(raw))):
+            if not (learned[a] >> b & 1 or reach[b] >> a & 1):
+                learned[a] |= 1 << b
+                reach = closure_rows(learned)
+    return learned

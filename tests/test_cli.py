@@ -139,6 +139,14 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+def test_required_flag_can_come_from_config(tmp_path, capsys):
+    out_path = tmp_path / "m.json"
+    cfg = _write_cfg(tmp_path, {"out": str(out_path), "n": 3})
+    code, out, err = run(["gen-scm", "--config", cfg, "--seed", "1"], capsys)
+    assert (code, out, err) == (0, f"{out_path}\n", "")
+    assert json.loads(out_path.read_text())["graph"]["n"] == 3
+
+
 def test_experiment_config_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -633,6 +641,10 @@ MALFORMED_FILES = {
     "report-count-text": ("report", {"dataset_count": "x", "interventions_used": 1, "n": 2},
                           "malformed"),
     "report-list": ("report", [], "malformed"),
+    "report-count-bool": ("report", {"dataset_count": True, "interventions_used": 1, "n": 2},
+                          "bool"),
+    "report-used-bool": ("report", {"dataset_count": 1, "interventions_used": True, "n": 2},
+                         "bool"),
     "targets-file-int": ("targets", 5, "malformed"),
     "graph-float-n": ("graph", {"n": 3.7, "edges": [[0, 1]]}, "integer"),
     "graph-float-edge": ("graph", {"n": 3, "edges": [[0.9, 1.2]]}, "integer"),

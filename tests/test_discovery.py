@@ -1,5 +1,7 @@
 """Closure learning, the randomized outer loop, plans, and sufficiency."""
+import hashlib
 import importlib.util
+import json
 import math
 import pathlib
 import types
@@ -10,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canm.discovery import (
-    _strict_order_bits,
+    _fold,
+    _strict_orders,
     check_sufficiency,
     core_intervention_plan,
     intervention_budget,
@@ -37,6 +40,7 @@ from canm.scm import InterventionalDataset, LazyDataset, anm_sampler, random_anm
 from canm.setsys import strongly_separating
 from canm.util import derive_seed
 from fixtures import fig_g1, fig_g2, fig_g3
+from reference import fold_rounds
 
 
 def oracle_setup(g, seed):
@@ -134,7 +138,8 @@ raw_edge_sets = st.integers(1, 9).flatmap(lambda n: st.tuples(
 @given(raw_edge_sets)
 def test_strict_order_edges_matches_reference(case):
     n, raw = case
-    assert set(bit_edges(_strict_order_bits(edge_rows(n, raw)))) == reference_strict_order(n, raw)
+    order = _strict_orders([edge_rows(n, raw)], n)[0]
+    assert set(map(tuple, np.argwhere(order).tolist())) == reference_strict_order(n, raw)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -144,9 +149,26 @@ def test_reduction_of_strict_order_rows_matches_transitive_reduction(case):
     Dag; the edges, in the order the cycle guard walks them, are those of
     graph.transitive_reduction on the strict order as a Dag."""
     n, raw = case
-    order = _strict_order_bits(edge_rows(n, raw))
-    edges = bit_edges(reduction_bits(order))
-    assert edges == sorted(transitive_reduction(Dag(n, frozenset(bit_edges(order)))).edges)
+    order = _strict_orders([edge_rows(n, raw)], n)[0]
+    rows = [sum(1 << int(b) for b in np.flatnonzero(row)) for row in order]
+    edges = bit_edges(reduction_bits(rows))
+    assert edges == sorted(transitive_reduction(Dag(n, frozenset(bit_edges(rows)))).edges)
+
+
+# lists of raw rounds as test runs may report them: cycles and self-pairs
+raw_round_lists = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 max_size=3 * n), max_size=8)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw_round_lists)
+def test_stacked_fold_matches_per_round_fold(case):
+    """Folding every round at once learns the rows the per-round fold
+    (strict order, reduction, cycle guard, round by round) learns."""
+    n, rounds = case
+    raws = [edge_rows(n, raw) for raw in rounds]
+    assert _fold(raws, n) == fold_rounds(raws, n)
 
 
 class TestLazyRegimes:
@@ -549,3 +571,23 @@ class TestSufficiency:
                 )
             )
             assert rep.sufficient == want
+
+
+# SHA-256 of plan_discovery's regimes (targets, key, iteration, randomized),
+# recorded before subsets were drawn as one rng.random(n) call each, so any
+# drift in the draw stream or in the plan's order fails here.
+PLAN_DIGESTS = {
+    (20, 4, 3.0, 0): "d4a6d53f57de2ccf4502c2e77aacb434edc8c79a769ef75a3372d936fbe73034",
+    (20, 4, 3.0, 1): "c17179bb56e4b8035e83dafbbebbbb6819afe68318088cb4eb2c761c66d238d5",
+    (20, 4, 3.0, 12345): "5d2f0474aba13a116fdba1fdfa9ca1bd18d11ddbeb4793d1e9c4a77f81dc42a4",
+    (8, 3, 1.0, 0): "48b8b9dc11e727bbe0d3861ff7745062bffd1ab1c0ec6da0fd8eaf9b652b19b8",
+    (8, 3, 1.0, 7): "1eda24cb0a5548b1777e403cce7cbda695ed54b295fde18ed0b82699e32a469f",
+    (8, 3, 1.0, 2**31 - 1): "a0fc4f126370f81c2bbe9eba515e0242687a78037fa4d43b4572140669e0187b",
+}
+
+
+@pytest.mark.parametrize("args", PLAN_DIGESTS, ids=str)
+def test_plan_is_pinned(args):
+    plan = [[sorted(r.targets), r.key, r.iteration, sorted(r.randomized)]
+            for r in plan_discovery(*args)]
+    assert hashlib.sha256(json.dumps(plan).encode()).hexdigest() == PLAN_DIGESTS[args]

@@ -14,6 +14,8 @@ from canm.estimation import (
     fit_outcome_equation,
     fit_treatment_equation,
     load_model,
+    model_from_json,
+    model_to_json,
     save_model,
 )
 from canm.graph import Dag, random_dag
@@ -416,3 +418,13 @@ def test_knn_backend_round_trip(tmp_path):
     back = load_model(tmp_path / "knn.json")
     again = ace(back, AceQuery(2, {0: 1.0}), 20_000, seed=33)
     assert again.value == pytest.approx(est.value)
+
+
+def test_knn_k_refuses_a_bool():
+    """JSON true is not the integer 1: a k-NN equation with ``"k": true``
+    would otherwise read as k = 1."""
+    m3, _ = linear_pair_b()
+    doc = model_to_json(pipeline(m3, 200, seed=34, regressor="knn", knn_k=1))
+    doc["outcome_equation"]["k"] = True
+    with pytest.raises(UsageError, match="bool"):
+        model_from_json(doc)

@@ -1,5 +1,6 @@
 """Simulator behavior: interventional sampling, moments, and the oracles."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ def test_malformed_dataset_files_are_usage_errors(edit, tmp_path):
         open_dataset(csv).data
 
 
+@pytest.mark.parametrize("key", ["seed", "m"])
+def test_sidecar_integer_refuses_a_bool(key, tmp_path):
+    """JSON true is not the integer 1: a one-row dataset whose sidecar says
+    ``true`` would otherwise load."""
+    _, csv, meta = _saved(tmp_path, m=1)
+    doc = json.loads(meta.read_text())
+    doc[key] = True
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match="bool"):
+        load_dataset(csv)
+    with pytest.raises(UsageError, match="bool"):
+        open_dataset(csv)
+
+
 def test_lazy_dataset_checks_what_it_draws():
     anm = random_anm(random_dag(3, 2, seed=28), seed=29)
     lazy = LazyDataset(3, {0}, 40, lambda: sample(anm, {0}, "std_normal", 41, seed=30))
@@ -299,6 +314,14 @@ def test_parse_targets_rejects_non_integral_numbers():
     assert parse_targets(np.array([2]), 3) == frozenset({2})
     for bad in ([1.5], [1.0], [np.float64(1)], ["x"], 3):
         with pytest.raises(UsageError, match="integer"):
+            parse_targets(bad, 3)
+
+
+def test_parse_targets_reads_a_frozenset_of_ints_as_is_but_checks_it():
+    assert parse_targets(frozenset({0, 2}), 3) == frozenset({0, 2})
+    assert parse_targets(frozenset({np.int64(2)}), 3) == frozenset({2})
+    for bad in (frozenset({True}), frozenset({3}), frozenset({-1}), frozenset({1.0})):
+        with pytest.raises(UsageError):
             parse_targets(bad, 3)
 
 
